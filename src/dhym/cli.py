@@ -4,15 +4,14 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.  All
 randomness flows from the config seed; identical config and seed reproduce
 byte-identical artifacts except for the timestamp line in the report, which
 comparisons should exclude.  The environment variable DHYM_THREADS caps the
-width of data-parallel kernels (0 or unset = automatic).
+number of FFT worker threads (0 or unset = automatic); a value that is not
+an integer is a configuration error (exit 2) for every subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,9 +39,9 @@ from .solver import (
     DhymProblem,
     SolverConfig,
     continuity_solve,
+    evaluate_state,
     manufactured_problem,
     newton_solve,
-    residual,
 )
 from .surfaces import (
     InvariantMetric,
@@ -51,7 +50,7 @@ from .surfaces import (
     csub_on_surface,
     trace_formula,
 )
-from .torus import HermitianFormField, ScalarField, hat_theta, i_ddbar, theta_field
+from .torus import HermitianFormField, ScalarField, _fft_workers, hat_theta, i_ddbar
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,28 +61,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _thread_limit():
-    raw = os.environ.get("DHYM_THREADS", "0")
-    try:
-        width = int(raw)
-    except ValueError:
-        raise ConfigError(f"DHYM_THREADS={raw!r} is not an integer")
-    if width <= 0:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=width)
-    except ImportError:
-        return contextlib.nullcontext()
-
-
 def _build_solver_config(cfg: RunConfig) -> SolverConfig:
     sc = SolverConfig()
     sc.tol = cfg.get_float("solver", "tol", sc.tol)
-    sc.krylov = cfg.get("solver", "krylov", sc.krylov)
-    if sc.krylov not in ("cg", "cgnr", "gmres"):
-        raise ConfigError(f"unknown krylov method {sc.krylov!r}")
+    krylov = cfg.get("solver", "krylov", "gmres")
+    if krylov != "gmres":
+        raise ConfigError(f"unknown krylov method {krylov!r}; only gmres is supported")
     sc.krylov_tol = cfg.get_float("solver", "krylov_tol", sc.krylov_tol)
     sc.krylov_iters = cfg.get_int("solver", "krylov_iters", sc.krylov_iters)
     sc.max_iters = cfg.get_int("solver", "max_iters", sc.max_iters)
@@ -158,13 +141,7 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     write_field(out_dir / "solution.dhym", report.u)
-    final_res = residual(report.u, report.c, prob)
-    theta = theta_field(
-        prob.omega,
-        HermitianFormField(
-            grid, prob.chi0.values + i_ddbar(report.u).values, _symmetrized=True
-        ),
-    )
+    final = evaluate_state(report.u, report.c, prob)
     pairs = [
         ("converged", str(report.converged).lower()),
         ("method", method),
@@ -174,11 +151,11 @@ def cmd_solve(args) -> int:
         ("c", _fmt(report.c)),
         ("abs_c", _fmt(abs(report.c))),
         ("mean_u", _fmt(report.u.values.mean())),
-        ("min_phase", _fmt(theta.values.min())),
-        ("max_phase", _fmt(theta.values.max())),
+        ("min_phase", _fmt(final.min_phase)),
+        ("max_phase", _fmt(final.max_phase)),
         ("newton_iterations", str(len(report.newton_trace))),
         ("continuity_stages", str(max(0, len(report.continuity_trace) - 1))),
-        ("final_residual_sup", _fmt(np.max(np.abs(final_res.values)))),
+        ("final_residual_sup", _fmt(final.residual_sup)),
     ]
     _write_report(out_dir / "report.txt", pairs)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
@@ -571,8 +548,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit():
-            return args.func(args)
+        _fft_workers()  # rejects a malformed DHYM_THREADS before any work
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

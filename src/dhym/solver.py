@@ -2,7 +2,7 @@
 
 Solves Theta(chi0 + i ddbar u) = target + c on a flat torus for the pair
 (u mean-zero, c real).  Each damped Newton step solves the linearized system
-with a Krylov method preconditioned by the exact inverse of the flat
+with GMRES preconditioned by the exact inverse of the flat
 quarter-Laplacian; a backtracking line search keeps the pointwise phase above
 the supercritical floor (n-2) pi/2.  Constant targets are reached by an
 adaptive continuation from the initial phase field.
@@ -28,9 +28,7 @@ from .torus import (
     ScalarField,
     TorusGrid,
     eta_inverse_values,
-    fftn,
     i_ddbar,
-    ifftn,
     inverse_laplacian_quarter,
     theta_field,
 )
@@ -84,7 +82,6 @@ class DhymProblem:
 class SolverConfig:
     tol: float = 1e-10
     max_iters: int = 40
-    krylov: str = "gmres"  # gmres | cg | cgnr
     krylov_tol: float = 1e-12
     krylov_iters: int = 400
     start_margin: float = 0.0
@@ -114,29 +111,51 @@ class SolveReport:
     )
 
 
-def residual(u: ScalarField, c: float, prob: DhymProblem) -> ScalarField:
-    """Theta(chi0 + i ddbar u) - target - c, pointwise."""
+@dataclass
+class StateEval:
+    """What one evaluation derives from a state (u, c).
+
+    chi is the form chi0 + i ddbar u, residual is Theta(chi) - target - c
+    pointwise, residual_sup its sup norm, and min_phase/max_phase the
+    extremes of the pointwise phase Theta(chi).
+    """
+
+    chi: HermitianFormField
+    residual: ScalarField
+    residual_sup: float
+    min_phase: float
+    max_phase: float
+
+
+def evaluate_state(u: ScalarField, c: float, prob: DhymProblem) -> StateEval:
+    """Build chi0 + i ddbar u once and derive the residual and phase range."""
     chi = HermitianFormField(
         prob.grid, prob.chi0.values + i_ddbar(u).values, _symmetrized=True
     )
-    theta = theta_field(prob.omega, chi)
-    return ScalarField(prob.grid, theta.values - prob.target_values() - c)
-
-
-def _state_chi(u: ScalarField, prob: DhymProblem) -> HermitianFormField:
-    return HermitianFormField(
-        prob.grid, prob.chi0.values + i_ddbar(u).values, _symmetrized=True
+    theta = theta_field(prob.omega, chi).values
+    res = ScalarField(prob.grid, theta - prob.target_values() - c)
+    return StateEval(
+        chi=chi,
+        residual=res,
+        residual_sup=float(np.max(np.abs(res.values))),
+        min_phase=float(theta.min()),
+        max_phase=float(theta.max()),
     )
 
 
-def linearization_kernel(u: ScalarField, prob: DhymProblem) -> np.ndarray:
+def residual(u: ScalarField, c: float, prob: DhymProblem) -> ScalarField:
+    """Theta(chi0 + i ddbar u) - target - c, pointwise."""
+    return evaluate_state(u, c, prob).residual
+
+
+def linearization_kernel(chi: HermitianFormField, prob: DhymProblem) -> np.ndarray:
     """Pointwise Hermitian coefficient matrices of the linearized operator.
 
-    These are the inverses of omega + chi omega^-1 chi at the current state;
-    the derivative of the phase in direction v contracts them against the
-    complex Hessian of v.
+    These are the inverses of omega + chi omega^-1 chi at the state whose
+    form is chi (see evaluate_state); the derivative of the phase in
+    direction v contracts them against the complex Hessian of v.
     """
-    return eta_inverse_values(prob.omega, _state_chi(u, prob))
+    return eta_inverse_values(prob.omega, chi)
 
 
 def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
@@ -144,47 +163,15 @@ def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
     return np.einsum("...ij,...ji->...", kernel, hess).real
 
 
-def apply_linearized_adjoint(kernel: np.ndarray, w_values: np.ndarray, grid: TorusGrid):
-    """L^2 adjoint of apply_linearized for the same frozen kernel."""
-    n = grid.n
-    out = np.zeros(grid.shape)
-    for j in range(n):
-        for k in range(n):
-            prod = np.conj(kernel[..., j, k]) * w_values
-            phat = fftn(prod)
-            out = out + ifftn(np.conj(_entry_multiplier(grid, k, j)) * phat).real
-    return out
-
-
-def _entry_multiplier(grid: TorusGrid, j: int, k: int) -> np.ndarray:
-    """Fourier multiplier of the (j, k) entry of the complex Hessian."""
-    from .torus import _axis_multiplier  # shared with i_ddbar
-
-    if j == k:
-        kx = _axis_multiplier(grid, 2 * j, zero_nyquist=False)
-        ky = _axis_multiplier(grid, 2 * j + 1, zero_nyquist=False)
-        return -0.25 * (kx**2 + ky**2) + 0.0j
-    kxj = _axis_multiplier(grid, 2 * j, zero_nyquist=True)
-    kyj = _axis_multiplier(grid, 2 * j + 1, zero_nyquist=True)
-    kxk = _axis_multiplier(grid, 2 * k, zero_nyquist=True)
-    kyk = _axis_multiplier(grid, 2 * k + 1, zero_nyquist=True)
-    return -0.25 * (kxj * kxk + kyj * kyk) - 0.25j * (kxj * kyk - kyj * kxk)
-
-
 def linearized_apply(u: ScalarField, v: ScalarField, prob: DhymProblem) -> ScalarField:
     """Directional derivative of the residual at state u in direction v."""
-    kernel = linearization_kernel(u, prob)
+    kernel = linearization_kernel(evaluate_state(u, 0.0, prob).chi, prob)
     return ScalarField(prob.grid, apply_linearized(kernel, v.values, prob.grid))
-
-
-def _min_phase(u: ScalarField, prob: DhymProblem) -> float:
-    theta = theta_field(prob.omega, _state_chi(u, prob))
-    return float(theta.values.min())
 
 
 def verify_supercritical(u: ScalarField, prob: DhymProblem) -> dict:
     """Minimum pointwise phase and whether it clears the floor plus eps0."""
-    min_phase = _min_phase(u, prob)
+    min_phase = evaluate_state(u, 0.0, prob).min_phase
     floor = prob.phase_floor
     return {
         "min_phase": min_phase,
@@ -230,11 +217,6 @@ def _solve_inner(
         out = apply_linearized(kernel, v, grid)
         return project(out).ravel()
 
-    def rmatvec(x):
-        w = project(x.reshape(shape))
-        out = apply_linearized_adjoint(kernel, w, grid)
-        return project(out).ravel()
-
     def precond(x):
         v = x.reshape(shape)
         return project(inverse_laplacian_quarter(v, grid)).ravel()
@@ -244,48 +226,19 @@ def _solve_inner(
     if bnorm == 0.0:
         return np.zeros(shape)
 
-    rtol = max(cfg.krylov_tol, 1e-14)
-    op = spla.LinearOperator((npts, npts), matvec=matvec, rmatvec=rmatvec)
-    if cfg.krylov == "cg":
-        # operator is negative-definite near constant-coefficient states
-        neg = spla.LinearOperator((npts, npts), matvec=lambda x: -matvec(x))
-        m_op = spla.LinearOperator((npts, npts), matvec=lambda x: -precond(x))
-        x, _ = spla.cg(
-            neg, -b, rtol=rtol, atol=0.0, maxiter=cfg.krylov_iters, M=m_op
-        )
-    elif cfg.krylov == "cgnr":
-        normal = spla.LinearOperator(
-            (npts, npts), matvec=lambda x: rmatvec(matvec(x))
-        )
-        m_op = spla.LinearOperator(
-            (npts, npts), matvec=lambda x: precond(precond(x))
-        )
-        x, _ = spla.cg(
-            normal,
-            rmatvec(b),
-            rtol=rtol,
-            atol=0.0,
-            maxiter=cfg.krylov_iters,
-            M=m_op,
-        )
-    elif cfg.krylov == "gmres":
-        m_op = spla.LinearOperator((npts, npts), matvec=precond)
-        x, _ = spla.gmres(
-            op,
-            b,
-            rtol=rtol,
-            atol=0.0,
-            restart=min(60, cfg.krylov_iters),
-            maxiter=max(1, cfg.krylov_iters // 60),
-            M=m_op,
-        )
-    else:
-        raise LinearSolveStalled(f"unknown krylov method {cfg.krylov!r}")
-
+    x, _ = spla.gmres(
+        spla.LinearOperator((npts, npts), matvec=matvec),
+        b,
+        rtol=max(cfg.krylov_tol, 1e-14),
+        atol=0.0,
+        restart=min(60, cfg.krylov_iters),
+        maxiter=max(1, cfg.krylov_iters // 60),
+        M=spla.LinearOperator((npts, npts), matvec=precond),
+    )
     achieved = float(np.linalg.norm(matvec(x) - b))
     if not np.isfinite(achieved) or achieved > max(10.0 * cfg.krylov_tol, 1e-9) * bnorm:
         raise LinearSolveStalled(
-            f"krylov ({cfg.krylov}) residual {achieved:.3e} vs rhs norm "
+            f"gmres residual {achieved:.3e} vs rhs norm "
             f"{bnorm:.3e} after {cfg.krylov_iters} iterations"
         )
     return project(x.reshape(shape))
@@ -312,54 +265,53 @@ def newton_solve(
     c = 0.0
     floor = prob.phase_floor
 
-    if _min_phase(ScalarField(grid, u_vals), prob) < floor + cfg.start_margin:
+    state = evaluate_state(ScalarField(grid, u_vals), c, prob)
+    if state.min_phase < floor + cfg.start_margin:
         raise PhaseFloorViolated(
             "initial state is not supercritical for this problem"
         )
 
-    trace: list[tuple[float, float, float]] = []
-    c_hist: list[float] = []
-    res = residual(ScalarField(grid, u_vals), c, prob)
-    res_sup = float(np.max(np.abs(res.values)))
-    trace.append((res_sup, 0.0, _min_phase(ScalarField(grid, u_vals), prob) - floor))
-    c_hist.append(c)
+    trace: list[tuple[float, float, float]] = [
+        (state.residual_sup, 0.0, state.min_phase - floor)
+    ]
+    c_hist: list[float] = [c]
 
     for _ in range(cfg.max_iters):
-        if res_sup <= cfg.tol:
+        if state.residual_sup <= cfg.tol:
             break
-        kernel = linearization_kernel(ScalarField(grid, u_vals), prob)
-        du = _solve_inner(kernel, -res.values, grid, cfg)
-        dc = float(res.values.mean() + apply_linearized(kernel, du, grid).mean())
+        res = state.residual.values
+        kernel = linearization_kernel(state.chi, prob)
+        du = _solve_inner(kernel, -res, grid, cfg)
+        dc = float(res.mean() + apply_linearized(kernel, du, grid).mean())
+        del kernel  # the line search needs only (du, dc)
 
         step = 1.0
-        accepted = False
+        floor_blocked = False
         for _ in range(cfg.line_search_halvings):
             trial_u = u_vals + step * du
             trial_u -= trial_u.mean()
             trial_c = c + step * dc
-            trial_field = ScalarField(grid, trial_u)
-            trial_res = residual(trial_field, trial_c, prob)
-            trial_sup = float(np.max(np.abs(trial_res.values)))
-            min_phase = _min_phase(trial_field, prob)
-            if min_phase > floor and trial_sup < res_sup:
-                u_vals, c, res, res_sup = trial_u, trial_c, trial_res, trial_sup
-                trace.append((res_sup, step, min_phase - floor))
+            trial = evaluate_state(ScalarField(grid, trial_u), trial_c, prob)
+            if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
+                u_vals, c, state = trial_u, trial_c, trial
+                trace.append((state.residual_sup, step, state.min_phase - floor))
                 c_hist.append(c)
-                accepted = True
                 break
+            floor_blocked = trial.min_phase <= floor
             step *= 0.5
-        if not accepted:
-            if _min_phase(ScalarField(grid, u_vals + step * du), prob) <= floor:
+        else:
+            # the shortest trial decides why the step was blocked
+            if floor_blocked:
                 raise PhaseFloorViolated(
                     "no step length preserves the supercritical phase floor"
                 )
             raise MaxItersExceeded(
-                f"line search stalled at residual_sup={res_sup:.3e}"
+                f"line search stalled at residual_sup={state.residual_sup:.3e}"
             )
     else:
-        if res_sup > cfg.tol:
+        if state.residual_sup > cfg.tol:
             raise MaxItersExceeded(
-                f"residual_sup={res_sup:.3e} > tol={cfg.tol:.3e} after "
+                f"residual_sup={state.residual_sup:.3e} > tol={cfg.tol:.3e} after "
                 f"{cfg.max_iters} iterations"
             )
 
@@ -371,8 +323,8 @@ def newton_solve(
     return SolveReport(
         u=ScalarField(grid, u_vals),
         c=float(c),
-        residual_sup=res_sup,
-        converged=bool(res_sup <= cfg.tol),
+        residual_sup=state.residual_sup,
+        converged=bool(state.residual_sup <= cfg.tol),
         newton_trace=trace,
         iterate_rows=rows,
     )

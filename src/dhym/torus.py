@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
 from .hermitian import CHOLESKY_PIVOT_MIN, symmetrize
 
 TWO_PI = 2.0 * np.pi
@@ -29,14 +29,15 @@ TWO_PI = 2.0 * np.pi
 def _fft_workers() -> int:
     """Transform thread count; DHYM_THREADS caps it (0 or unset = auto).
 
-    The transform result is bit-identical for any worker count; this only
-    controls parallel width.
+    This is the only reader of DHYM_THREADS; a non-integer value raises
+    ConfigError.  The transform result is bit-identical for any worker
+    count; this only controls parallel width.
     """
     raw = os.environ.get("DHYM_THREADS", "0")
     try:
         width = int(raw)
     except ValueError:
-        width = 0
+        raise ConfigError(f"DHYM_THREADS={raw!r} is not an integer") from None
     if width <= 0:
         return min(4, os.cpu_count() or 1)
     return width
@@ -168,18 +169,30 @@ class AngleResult:
 # ---------------------------------------------------------------------------
 
 
-def _wavenumbers(N: int, zero_nyquist: bool) -> np.ndarray:
-    k = np.fft.fftfreq(N) * N
-    if zero_nyquist and N % 2 == 0:
-        k[N // 2] = 0.0
-    return k
+def _hessian_symbol(grid: TorusGrid, j: int, k: int) -> np.ndarray:
+    """Fourier symbol of entry (j, k) of i_ddbar, broadcastable to the grid.
 
+    A diagonal entry is the real symbol -(kx^2 + ky^2)/4, which keeps the
+    Nyquist mode of the pure second derivatives; an off-diagonal entry is
+    built from products of first-derivative symbols (i k_a)(i k_b), whose
+    Nyquist mode is zeroed.
+    """
 
-def _axis_multiplier(grid: TorusGrid, axis: int, zero_nyquist: bool) -> np.ndarray:
-    k = _wavenumbers(grid.N, zero_nyquist)
-    shape = [1] * (2 * grid.n)
-    shape[axis] = grid.N
-    return k.reshape(shape)
+    def wavenumbers(axis: int) -> np.ndarray:
+        kv = np.fft.fftfreq(grid.N) * grid.N
+        if j != k:
+            kv[grid.N // 2] = 0.0
+        shape = [1] * (2 * grid.n)
+        shape[axis] = grid.N
+        return kv.reshape(shape)
+
+    kxj, kyj = wavenumbers(2 * j), wavenumbers(2 * j + 1)
+    if j == k:
+        return -0.25 * (kxj**2 + kyj**2)
+    kxk, kyk = wavenumbers(2 * k), wavenumbers(2 * k + 1)
+    real_part = -0.25 * (kxj * kxk + kyj * kyk)
+    imag_part = -0.25 * (kxj * kyk - kyj * kxk)
+    return real_part + 1j * imag_part
 
 
 def i_ddbar(u: ScalarField) -> HermitianFormField:
@@ -187,7 +200,8 @@ def i_ddbar(u: ScalarField) -> HermitianFormField:
 
     Entry (j, k) is (1/4)(d_{x_j} d_{x_k} + d_{y_j} d_{y_k}) u
     + (i/4)(d_{x_j} d_{y_k} - d_{y_j} d_{x_k}) u with Fourier-multiplier
-    derivatives; the output is Hermitian per point by construction.
+    derivatives (_hessian_symbol); the output is Hermitian per point by
+    construction.
     """
     grid = u.grid
     n = grid.n
@@ -196,42 +210,33 @@ def i_ddbar(u: ScalarField) -> HermitianFormField:
     # to (..., n, n) below is what downstream pointwise algebra slices
     out = np.empty((n, n) + grid.shape, dtype=complex)
     for j in range(n):
-        # diagonal: -(kx^2 + ky^2)/4, Nyquist kept in the pure second derivative
-        kx = _axis_multiplier(grid, 2 * j, zero_nyquist=False)
-        ky = _axis_multiplier(grid, 2 * j + 1, zero_nyquist=False)
-        mult = -0.25 * (kx**2 + ky**2)
-        out[j, j] = ifftn(mult * uhat).real
+        out[j, j] = ifftn(_hessian_symbol(grid, j, j) * uhat).real
         for k in range(j + 1, n):
-            kxj = _axis_multiplier(grid, 2 * j, zero_nyquist=True)
-            kyj = _axis_multiplier(grid, 2 * j + 1, zero_nyquist=True)
-            kxk = _axis_multiplier(grid, 2 * k, zero_nyquist=True)
-            kyk = _axis_multiplier(grid, 2 * k + 1, zero_nyquist=True)
-            # products of first-derivative multipliers (i k_a)(i k_b)
-            real_part = -0.25 * (kxj * kxk + kyj * kyk)
-            imag_part = -0.25 * (kxj * kyk - kyj * kxk)
-            entry = ifftn((real_part + 1j * imag_part) * uhat)
+            entry = ifftn(_hessian_symbol(grid, j, k) * uhat)
             out[j, k] = entry
             out[k, j] = np.conj(entry)
     values = np.moveaxis(out, (0, 1), (-2, -1))
     return HermitianFormField(grid, values, _symmetrized=True)
 
 
+def _laplacian_quarter_symbol(grid: TorusGrid) -> np.ndarray:
+    """Symbol of (1/4) Delta: the sum of the diagonal Hessian symbols.
+
+    The result is a new array of the full grid shape.
+    """
+    diagonal = [_hessian_symbol(grid, j, j) for j in range(grid.n)]
+    return sum(diagonal[1:], diagonal[0])
+
+
 def laplacian_quarter(u_values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(1/4) Delta u over all 2n real axes, spectrally."""
-    uhat = fftn(u_values)
-    mult = np.zeros(grid.shape)
-    for axis in range(2 * grid.n):
-        mult = mult + _axis_multiplier(grid, axis, zero_nyquist=False) ** 2
-    return ifftn(-0.25 * mult * uhat).real
+    return ifftn(_laplacian_quarter_symbol(grid) * fftn(u_values)).real
 
 
 def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero solution of (1/4) Delta v = rhs (mean of rhs discarded)."""
     fhat = fftn(rhs)
-    mult = np.zeros(grid.shape)
-    for axis in range(2 * grid.n):
-        mult = mult + _axis_multiplier(grid, axis, zero_nyquist=False) ** 2
-    mult *= -0.25
+    mult = _laplacian_quarter_symbol(grid)
     flat_zero = (0,) * (2 * grid.n)
     mult[flat_zero] = 1.0
     vhat = fhat / mult

@@ -240,8 +240,27 @@ def test_angle_from_field_files(tmp_path, capsys):
     assert abs(val - np.arctan(0.4)) <= 1e-12
 
 
+def test_solve_krylov_key_accepts_only_gmres(tmp_path, capsys):
+    gmres = MAN1.replace("tol = 1e-11", "tol = 1e-11\nkrylov = gmres")
+    assert main(["solve", _cfg(tmp_path, gmres)]) == 0
+    capsys.readouterr()
+    cg = MAN1.replace("tol = 1e-11", "tol = 1e-11\nkrylov = cg")
+    assert main(["solve", _cfg(tmp_path, cg, name="cg.cfg")]) == 2
+    assert "gmres" in capsys.readouterr().err
+
+
 def test_threads_env_accepted(tmp_path, monkeypatch):
+    from dhym.errors import ConfigError
+    from dhym.torus import ScalarField, TorusGrid, _fft_workers, i_ddbar
+
     monkeypatch.setenv("DHYM_THREADS", "1")
+    assert _fft_workers() == 1
     assert main(["solve", _cfg(tmp_path, MAN1)]) == 0
     monkeypatch.setenv("DHYM_THREADS", "auto")
     assert main(["solve", _cfg(tmp_path, MAN1)]) == 2
+    assert main(["region", "--resolution", "8", "--out", str(tmp_path / "r.csv")]) == 2
+    g = TorusGrid(1, 8)
+    with pytest.raises(ConfigError):
+        _fft_workers()
+    with pytest.raises(ConfigError):
+        i_ddbar(ScalarField(g, np.zeros(g.shape)))

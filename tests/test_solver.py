@@ -13,10 +13,7 @@ from dhym.errors import (
 from dhym.solver import (
     DhymProblem,
     SolverConfig,
-    apply_linearized,
-    apply_linearized_adjoint,
     continuity_solve,
-    linearization_kernel,
     linearized_apply,
     manufactured_problem,
     newton_solve,
@@ -135,19 +132,6 @@ def test_linearized_matches_finite_difference():
             assert np.max(np.abs(lin - fd)) / max(1e-12, np.max(np.abs(fd))) <= 1e-6
 
 
-def test_linearized_adjoint_pairing():
-    g = _grid1()
-    prob = _simple_problem(g)
-    rng = np.random.default_rng(3)
-    u = _random_band_limited(g, rng)
-    kernel = linearization_kernel(u, prob)
-    v = _random_band_limited(g, rng)
-    w = _random_band_limited(g, rng)
-    lhs = np.vdot(apply_linearized(kernel, v.values, g), w.values)
-    rhs = np.vdot(v.values, apply_linearized_adjoint(kernel, w.values, g))
-    assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
-
-
 def test_linearized_symmetric_at_constant_state_and_elliptic_sign():
     # at constant-coefficient states the operator is exactly self-adjoint in
     # L^2; its quadratic form carries the elliptic (negative Laplacian-like)
@@ -254,19 +238,48 @@ def test_continuity_path_stalls_when_stages_cannot_converge():
         continuity_solve(prob, cfg=SolverConfig(tol=1e-16, max_iters=2))
 
 
-def test_newton_krylov_variants_agree():
-    g = _grid1()
-    ustar = ScalarField(g, 0.2 * np.cos(g.axis_coordinate("x1")))
+def test_newton_floor_blocked_step_raises_phase_floor():
+    # a full Newton step of this problem crosses the phase floor, and with
+    # one trial allowed the line search cannot shorten it
+    g = TorusGrid(2, 8)
+    x1, y1, x2 = (g.axis_coordinate(a) for a in ("x1", "y1", "x2"))
+    ustar = ScalarField(g, 1.2 * np.cos(x1) * np.cos(x2) + 0.36 * np.sin(y1))
     prob = manufactured_problem(
-        ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
+        ustar, identity_metric(g), constant_form_field(g, 0.35 * np.eye(2)), eps0=1e-3
     )
-    sols = []
-    for method in ("gmres", "cg", "cgnr"):
-        rep = newton_solve(prob, cfg=SolverConfig(tol=1e-10, krylov=method))
-        assert rep.converged
-        sols.append(rep.u.values)
-    assert np.max(np.abs(sols[0] - sols[1])) <= 1e-9
-    assert np.max(np.abs(sols[0] - sols[2])) <= 1e-9
+    with pytest.raises(PhaseFloorViolated):
+        newton_solve(prob, cfg=SolverConfig(line_search_halvings=1))
+
+
+def test_newton_evaluates_each_trial_state_once(monkeypatch):
+    import dhym.solver as solver
+
+    counts = {"i_ddbar": 0, "matvec": 0}
+    i_ddbar_orig, apply_orig = solver.i_ddbar, solver.apply_linearized
+
+    def counting_i_ddbar(u):
+        counts["i_ddbar"] += 1
+        return i_ddbar_orig(u)
+
+    def counting_apply(kernel, v_values, grid):
+        counts["matvec"] += 1
+        return apply_orig(kernel, v_values, grid)
+
+    g = TorusGrid(2, 8)
+    ustar = ScalarField(
+        g,
+        0.1 * np.cos(g.axis_coordinate("x1")) + 0.05 * np.sin(g.axis_coordinate("y2")),
+    )
+    prob = manufactured_problem(
+        ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
+    )
+    monkeypatch.setattr(solver, "i_ddbar", counting_i_ddbar)
+    monkeypatch.setattr(solver, "apply_linearized", counting_apply)
+    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.converged and len(rep.newton_trace) > 1
+    # an accepted step of length 2^-m is the (m+1)-th trial of its line search
+    trials = sum(1 + round(-np.log2(step)) for _, step, _ in rep.newton_trace[1:])
+    assert counts["i_ddbar"] - counts["matvec"] == 1 + trials
 
 
 # --- supercritical check --------------------------------------------------------------
