@@ -7,16 +7,13 @@ shift should vanish up to solver tolerance; prints the stage schedule.
 
 import numpy as np
 
-from dhym.solver import DhymProblem, SolverConfig, continuity_solve
+from dhym.solver import DhymProblem, SolverConfig, continuity_solve, evaluate_state
 from dhym.torus import (
-    HermitianFormField,
     ScalarField,
     TorusGrid,
     hat_theta,
-    i_ddbar,
     identity_metric,
     isotropic_form_field,
-    theta_field,
 )
 
 
@@ -34,13 +31,10 @@ def main():
     print(f"{'t':>8} {'stage constant':>16} {'iters':>6}")
     for t, c_t, iters in report.continuity_trace:
         print(f"{t:>8.4f} {c_t:>16.3e} {iters:>6}")
-    chi = HermitianFormField(
-        grid, chi0.values + i_ddbar(report.u).values, _symmetrized=True
-    )
-    theta = theta_field(omega, chi).values
+    final = evaluate_state(report.u, report.c, prob)
     print(f"converged = {report.converged}")
     print(f"|c1| = {abs(report.c):.3e}")
-    print(f"final phase spread = {theta.max() - theta.min():.3e}")
+    print(f"final phase spread = {final.max_phase - final.min_phase:.3e}")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,6 @@ from .torus import (
     ScalarField,
     TorusGrid,
     constant_form_field,
-    eta_metric,
     hat_theta,
     i_ddbar,
     identity_metric,

@@ -20,6 +20,7 @@ MAGIC = b"DHYM"
 VERSION = 1
 KIND_SCALAR = 0
 KIND_HERMITIAN = 1
+ASYMMETRY_RTOL = 1e-12
 
 _HEADER = struct.Struct("<4sIBBI")
 
@@ -60,5 +61,11 @@ def read_field(path) -> ScalarField | HermitianFormField:
         if len(raw) != want:
             raise ConfigError(f"{path}: payload {len(raw)} bytes, expected {want}")
         vals = np.frombuffer(raw, dtype="<c16").reshape(grid.shape + (n, n))
-        return HermitianFormField(grid, vals.copy(), _symmetrized=True)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{path}: form payload has non-finite entries")
+        asym = float(np.max(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2)))))
+        if asym > ASYMMETRY_RTOL * float(np.max(np.abs(vals))):
+            raise ConfigError(f"{path}: form payload is not Hermitian (asymmetry {asym:.3e})")
+        # an exact payload keeps its bits: symmetrizing can flip signed zeros
+        return HermitianFormField(grid, vals.copy(), _symmetrized=asym == 0.0)
     raise ConfigError(f"{path}: unknown field kind {kind}")

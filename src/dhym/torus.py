@@ -5,11 +5,12 @@ real axis and period 2 pi, using real coordinates ordered (x1, y1, x2, y2)
 and complex coordinates z_j = x_j + i y_j.  Scalar fields are real arrays on
 the grid; Hermitian-form fields carry an n x n Hermitian matrix per point.
 
-The complex Hessian operator i ddbar is realized with Fourier multipliers,
-the phase field evaluates sum(arctan) of the pointwise pencil eigenvalues
-through closed-form whitening (n <= 2), and the averaged angle integrates
-the polar-form density |det(omega + i chi)| e^{i Theta} with an explicit
-branch lift.
+The complex Hessian operator i ddbar is realized with Fourier multipliers.
+The phase, its linearization kernel and the averaged angle all derive from
+the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
+Arg det(omega + i chi), the kernel (omega + chi omega^-1 chi)^-1 is the
+Hermitian part of (omega + i chi)^-1, and the averaged angle integrates the
+density det(omega + i chi) with an explicit branch lift.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class HermitianFormField:
     grid: TorusGrid
     values: np.ndarray
     _symmetrized: bool = field(default=False, repr=False)
-    constant_identity: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         want = self.grid.shape + (self.grid.n, self.grid.n)
@@ -145,9 +145,7 @@ def isotropic_form_field(grid: TorusGrid, scale: ScalarField) -> HermitianFormFi
 
 
 def identity_metric(grid: TorusGrid) -> HermitianFormField:
-    out = constant_form_field(grid, np.eye(grid.n))
-    out.constant_identity = True
-    return out
+    return constant_form_field(grid, np.eye(grid.n))
 
 
 @dataclass(frozen=True)
@@ -250,18 +248,24 @@ def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _check_metric_positive(omega: np.ndarray, n: int) -> None:
-    if n == 1:
-        pivots = omega[..., 0, 0].real
-        bad = pivots <= CHOLESKY_PIVOT_MIN
-    else:
-        p = omega[..., 0, 0].real
-        bad = p <= CHOLESKY_PIVOT_MIN
+    """Raise NotPositiveDefinite at the first non-finite or too small pivot."""
+    p = omega[..., 0, 0].real
+    bad = ~(np.isfinite(p) & (p > CHOLESKY_PIVOT_MIN))
+    if n == 2:
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = omega[..., 1, 1].real - np.abs(omega[..., 0, 1]) ** 2 / p
-        bad = bad | (d2 <= CHOLESKY_PIVOT_MIN) | ~np.isfinite(d2)
+        bad |= ~(np.isfinite(d2) & (d2 > CHOLESKY_PIVOT_MIN))
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NotPositiveDefinite(f"metric not positive-definite at grid index {idx}")
+
+
+def _complex_form(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
+    """omega + i chi pointwise, after checking omega positive-definite once."""
+    if chi.grid != omega.grid:
+        raise DimensionMismatch("omega and chi live on different grids")
+    _check_metric_positive(omega.values, omega.grid.n)
+    return omega.values + 1j * chi.values
 
 
 def pencil_eigenvalues(omega: HermitianFormField, chi: HermitianFormField):
@@ -275,36 +279,25 @@ def pencil_eigenvalues(omega: HermitianFormField, chi: HermitianFormField):
     if chi.grid != grid:
         raise DimensionMismatch("omega and chi live on different grids")
     om, ch = omega.values, chi.values
+    _check_metric_positive(om, n)
     if n == 1:
-        _check_metric_positive(om, n)
-        lam = (ch[..., 0, 0].real / om[..., 0, 0].real)[..., None]
-        return lam
+        return (ch[..., 0, 0].real / om[..., 0, 0].real)[..., None]
     x = ch[..., 0, 0].real
     y = ch[..., 0, 1]
     z = ch[..., 1, 1].real
-    if omega.constant_identity:
-        m11, m12, m22 = x, y, z
-    else:
-        _check_metric_positive(om, n)
-        p = om[..., 0, 0].real
-        r = om[..., 0, 1]
-        q = om[..., 1, 1].real
-        d2 = q - np.abs(r) ** 2 / p
-        a = 1.0 / np.sqrt(p)
-        c = 1.0 / np.sqrt(d2)
-        b = -np.conj(r) * a * a * c  # -l21/(l11 l22) with l21 = conj(r)/sqrt(p)
-        m11 = a * a * x
-        m12 = a * x * np.conj(b) + a * c * y
-        m22 = np.abs(b) ** 2 * x + 2.0 * c * (b * y).real + c * c * z
+    p = om[..., 0, 0].real
+    r = om[..., 0, 1]
+    q = om[..., 1, 1].real
+    d2 = q - np.abs(r) ** 2 / p
+    a = 1.0 / np.sqrt(p)
+    c = 1.0 / np.sqrt(d2)
+    b = -np.conj(r) * a * a * c  # -l21/(l11 l22) with l21 = conj(r)/sqrt(p)
+    m11 = a * a * x
+    m12 = a * x * np.conj(b) + a * c * y
+    m22 = np.abs(b) ** 2 * x + 2.0 * c * (b * y).real + c * c * z
     half = 0.5 * (m11 + m22)
     radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + np.abs(m12) ** 2)
     return np.stack([half + radius, half - radius], axis=-1)
-
-
-def theta_field(omega: HermitianFormField, chi: HermitianFormField) -> ScalarField:
-    """Pointwise phase sum(arctan(lambda_i)) of the pencil (omega, chi)."""
-    lam = pencil_eigenvalues(omega, chi)
-    return ScalarField(omega.grid, np.sum(np.arctan(lam), axis=-1))
 
 
 def _det(values: np.ndarray, n: int) -> np.ndarray:
@@ -328,38 +321,36 @@ def _inv(values: np.ndarray, n: int) -> np.ndarray:
     return out / det[..., None, None]
 
 
-def eta_metric(omega: HermitianFormField, chi: HermitianFormField) -> HermitianFormField:
-    """Auxiliary metric omega + chi omega^-1 chi, pointwise."""
-    grid = omega.grid
-    _check_metric_positive(omega.values, grid.n)
-    om_inv = _inv(omega.values, grid.n)
-    corr = np.einsum("...ij,...jk,...kl->...il", chi.values, om_inv, chi.values)
-    return HermitianFormField(grid, omega.values + corr)
+def theta_field(omega: HermitianFormField, chi: HermitianFormField) -> ScalarField:
+    """Pointwise phase sum(arctan(lambda_i)) of the pencil (omega, chi), as
+    Arg det(omega + i chi); det omega > 0 and n <= 2 keep it in (-pi, pi)."""
+    density = _det(_complex_form(omega, chi), omega.grid.n)
+    return ScalarField(omega.grid, np.angle(density))
 
 
 def eta_inverse_values(
     omega: HermitianFormField, chi: HermitianFormField
 ) -> np.ndarray:
-    """(omega + chi omega^-1 chi)^-1 pointwise, the linearization kernel."""
-    eta = eta_metric(omega, chi)
-    return _inv(eta.values, omega.grid.n)
+    """(omega + chi omega^-1 chi)^-1 pointwise, the linearization kernel.
+
+    The Hermitian part of (omega + i chi)^-1: by Jacobi's formula the phase
+    derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).
+    """
+    return symmetrize(_inv(_complex_form(omega, chi), omega.grid.n))
 
 
 def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult:
     """Averaged angle Arg of the complex volume integral of (omega + i chi)^n.
 
-    Integrates the polar density r e^{i Theta} with r = |det(omega + i chi)|
-    and Theta the pointwise phase field, then lifts the principal argument of
-    the accumulated complex number to the branch containing the mean of
-    Theta, so values are not confined to (-pi, pi].
+    Integrates the density det(omega + i chi), whose pointwise argument is
+    the phase field Theta (see theta_field), then lifts the principal
+    argument of the integral to the branch containing the mean of Theta, so
+    values are not confined to (-pi, pi].
     """
     grid = omega.grid
-    theta = theta_field(omega, chi).values
-    # the polar density r e^{i Theta} equals det(omega + i chi) identically:
-    # |det| = det(omega) prod sqrt(1 + lambda_i^2) and the phases of the
-    # whitened factors (1 + i lambda_i) sum to Theta, so accumulate the
-    # determinant directly
-    z = np.sum(_det(omega.values + 1j * chi.values, grid.n)) * grid.cell_volume
+    density = _det(_complex_form(omega, chi), grid.n)
+    theta = np.angle(density)
+    z = np.sum(density) * grid.cell_volume
     principal = float(np.angle(z))
     center = float(theta.mean())
     winding = np.round((center - principal) / TWO_PI)

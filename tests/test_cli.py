@@ -240,6 +240,19 @@ def test_angle_from_field_files(tmp_path, capsys):
     assert abs(val - np.arctan(0.4)) <= 1e-12
 
 
+def test_angle_rejects_non_hermitian_field_file(tmp_path, capsys):
+    from dhym.fieldio import write_field
+    from dhym.torus import HermitianFormField, TorusGrid, constant_form_field, identity_metric
+
+    g = TorusGrid(2, 8)
+    vals = constant_form_field(g, 0.4 * np.eye(2)).values
+    vals[..., 0, 1] = 0.3  # entry (1, 0) stays 0
+    write_field(tmp_path / "om.dhym", identity_metric(g))
+    write_field(tmp_path / "chi.dhym", HermitianFormField(g, vals, _symmetrized=True))
+    assert main(["angle", str(tmp_path / "om.dhym"), str(tmp_path / "chi.dhym")]) == 2
+    assert "chi.dhym" in capsys.readouterr().err
+
+
 def test_solve_krylov_key_accepts_only_gmres(tmp_path, capsys):
     gmres = MAN1.replace("tol = 1e-11", "tol = 1e-11\nkrylov = gmres")
     assert main(["solve", _cfg(tmp_path, gmres)]) == 0

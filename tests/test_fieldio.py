@@ -6,7 +6,13 @@ import pytest
 from dhym.errors import ConfigError
 from dhym.fieldio import read_field, write_field
 from dhym.runconfig import load_config, parse_form_spec, parse_grid, parse_scalar_spec
-from dhym.torus import HermitianFormField, ScalarField, TorusGrid, i_ddbar
+from dhym.torus import (
+    HermitianFormField,
+    ScalarField,
+    TorusGrid,
+    constant_form_field,
+    i_ddbar,
+)
 
 
 def test_scalar_round_trip_bit_exact(tmp_path, rng):
@@ -52,6 +58,36 @@ def test_read_rejects_truncated_payload(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(ConfigError, match="payload"):
         read_field(path)
+
+
+def test_read_validates_form_payload(tmp_path, rng):
+    g = TorusGrid(2, 8)
+    path = tmp_path / "chi.dhym"
+    exact = i_ddbar(ScalarField(g, rng.standard_normal(g.shape)))
+    write_field(path, exact)
+    write_field(tmp_path / "again.dhym", read_field(path))
+    assert (tmp_path / "again.dhym").read_bytes() == path.read_bytes()
+
+    vals = constant_form_field(g, 0.4 * np.eye(2)).values
+    vals[1, 2, 3, 4, 0, 1] = 0.3  # entry (1, 0) stays 0
+    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    with pytest.raises(ConfigError, match=r"chi\.dhym: .*not Hermitian"):
+        read_field(path)
+
+    vals[1, 2, 3, 4, 0, 1] = 0.0
+    vals[5, 0, 0, 1, 1, 1] = np.nan
+    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    with pytest.raises(ConfigError, match=r"chi\.dhym: .*non-finite"):
+        read_field(path)
+
+    # round-off asymmetry is accepted and symmetrized away
+    vals[5, 0, 0, 1, 1, 1] = 0.4
+    vals[..., 0, 1] = 0.1
+    vals[..., 1, 0] = 0.1 * (1.0 + 4e-16)
+    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    back = read_field(path).values
+    assert np.array_equal(back, np.conj(np.swapaxes(back, -1, -2)))
+    assert np.max(np.abs(back - vals)) <= 1e-16
 
 
 # --- config parsing -----------------------------------------------------------

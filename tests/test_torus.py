@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dhym.errors import DimensionMismatch, NotPositiveDefinite
-from dhym.hermitian import eig_pair, lagrangian_angle_det
+from dhym.hermitian import dF, eig_pair, lagrangian_angle_det
 from dhym.torus import (
     HermitianFormField,
     ScalarField,
     TorusGrid,
     constant_form_field,
-    eta_metric,
+    eta_inverse_values,
     hat_theta,
     i_ddbar,
     identity_metric,
@@ -23,6 +23,16 @@ from dhym.torus import (
 
 def _det2(values):
     return values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0]
+
+
+def _random_pencil_fields(g, seed):
+    """Pointwise positive-definite omega, far from the identity, and Hermitian chi."""
+    rng = np.random.default_rng(seed)
+    shape = g.shape + (g.n, g.n)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    om_vals = np.einsum("...ij,...kj->...ik", base, np.conj(base)) + 0.8 * np.eye(g.n)
+    chi_vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return HermitianFormField(g, om_vals), HermitianFormField(g, chi_vals)
 
 
 def test_grid_validation():
@@ -176,24 +186,40 @@ def test_theta_field_scaling_property():
         assert np.max(np.abs(got - expect)) <= 1e-14
 
 
-def test_theta_field_reports_offending_index():
+@pytest.mark.parametrize("pivot", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize(
+    "kernel", [theta_field, eta_inverse_values, hat_theta], ids=lambda f: f.__name__
+)
+def test_theta_field_reports_offending_index(kernel, pivot):
     g = TorusGrid(1, 8)
     vals = np.ones(g.shape + (1, 1), dtype=complex)
-    vals[2, 3, 0, 0] = -1.0
+    vals[2, 3, 0, 0] = pivot
     bad = HermitianFormField(g, vals, _symmetrized=True)
     with pytest.raises(NotPositiveDefinite, match=r"\(2, 3\)"):
-        theta_field(bad, identity_metric(g))
+        kernel(bad, identity_metric(g))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_theta_field_matches_pencil_arctan(n):
+    g = TorusGrid(n, 8)
+    om, chi = _random_pencil_fields(g, 17 + n)
+    expect = np.sum(np.arctan(pencil_eigenvalues(om, chi)), axis=-1)
+    assert np.max(np.abs(theta_field(om, chi).values - expect)) <= 1e-12
+    if n == 2:
+        # chi = t omega + O(1) puts both eigenvalues near t, so the phase
+        # sits within 1e-3 of +-pi without crossing the branch cut
+        for t in (2500.0, -2500.0):
+            steep = HermitianFormField(g, t * om.values + chi.values, _symmetrized=True)
+            expect = np.sum(np.arctan(pencil_eigenvalues(om, steep)), axis=-1)
+            got = theta_field(om, steep).values
+            assert np.min(np.abs(got)) >= np.pi - 1e-3
+            assert np.all(np.sign(got) == np.sign(t))
+            assert np.max(np.abs(got - expect)) <= 1e-12
 
 
 def test_pencil_eigenvalues_match_scalar_kernel():
     g = TorusGrid(2, 8)
-    rng = np.random.default_rng(11)
-    base = rng.standard_normal(g.shape + (2, 2)) + 1j * rng.standard_normal(g.shape + (2, 2))
-    om_vals = np.einsum("...ij,...kj->...ik", base, np.conj(base)) + 0.8 * np.eye(2)
-    om = HermitianFormField(g, om_vals)
-    chi = HermitianFormField(
-        g, rng.standard_normal(g.shape + (2, 2)) + 1j * rng.standard_normal(g.shape + (2, 2))
-    )
+    om, chi = _random_pencil_fields(g, 11)
     lam = pencil_eigenvalues(om, chi)
     flat_om = om.values.reshape(-1, 2, 2)
     flat_chi = chi.values.reshape(-1, 2, 2)
@@ -203,21 +229,20 @@ def test_pencil_eigenvalues_match_scalar_kernel():
         assert np.max(np.abs(es.lambdas - flat_lam[idx])) <= 1e-11
 
 
-# --- eta metric -------------------------------------------------------------------
+# --- linearization kernel ----------------------------------------------------------
 
 
-def test_eta_trivials():
+def test_eta_inverse_trivials():
     g = TorusGrid(2, 8)
     om = identity_metric(g)
     zero = constant_form_field(g, np.zeros((2, 2)))
-    assert np.max(np.abs(eta_metric(om, zero).values - om.values)) == 0.0
+    assert np.max(np.abs(eta_inverse_values(om, zero) - om.values)) == 0.0
     chi = constant_form_field(g, np.diag([2.0, -1.0]))
-    eta = eta_metric(om, chi)
-    expect = np.diag([5.0, 2.0])
-    assert np.max(np.abs(eta.values - expect)) <= 1e-14
+    expect = np.diag([1.0 / 5.0, 1.0 / 2.0])
+    assert np.max(np.abs(eta_inverse_values(om, chi) - expect)) <= 1e-14
 
 
-def test_eta_determinant_identity():
+def test_eta_inverse_determinant_identity():
     g = TorusGrid(2, 8)
     om = identity_metric(g)
     u = ScalarField(
@@ -228,10 +253,24 @@ def test_eta_determinant_identity():
         g, constant_form_field(g, 0.5 * np.eye(2)).values + i_ddbar(u).values,
         _symmetrized=True,
     )
-    eta = eta_metric(om, chi)
-    lhs = _det2(eta.values).real * _det2(om.values).real
+    eta_inv = eta_inverse_values(om, chi)
+    lhs = _det2(om.values).real / _det2(eta_inv).real
     rhs = np.abs(_det2(om.values + 1j * chi.values)) ** 2
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_eta_inverse_matches_pointwise_dF(n):
+    g = TorusGrid(n, 8)
+    om, chi = _random_pencil_fields(g, 29 + n)
+    kernel = eta_inverse_values(om, chi)
+    assert np.array_equal(kernel, np.conj(np.swapaxes(kernel, -1, -2)))
+    flat_om = om.values.reshape(-1, n, n)
+    flat_chi = chi.values.reshape(-1, n, n)
+    flat_kernel = kernel.reshape(-1, n, n)
+    for idx in range(0, flat_om.shape[0], 37):
+        ref = dF(eig_pair(flat_om[idx], flat_chi[idx]))
+        assert np.max(np.abs(flat_kernel[idx] - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref)))
 
 
 # --- averaged angle ------------------------------------------------------------------
