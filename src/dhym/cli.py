@@ -24,6 +24,7 @@ from .hermitian import (
     dF,
     eig_pair,
     eigenvalue_derivatives,
+    lagrangian_angle_det,
     spectral_function_derivatives,
     symmetrize,
     theta_arctan,
@@ -33,6 +34,7 @@ from .phase import (
     csub_bounded_oracle,
     dichotomy_kappa_estimate,
     is_csub_pointwise,
+    level_set_sample_batch,
 )
 from .runconfig import RunConfig, load_config, parse_form_spec, parse_grid, parse_scalar_spec
 from .solver import (
@@ -50,7 +52,16 @@ from .surfaces import (
     csub_on_surface,
     trace_formula,
 )
-from .torus import HermitianFormField, ScalarField, _fft_workers, hat_theta, i_ddbar
+from .torus import (
+    HermitianFormField,
+    ScalarField,
+    TorusGrid,
+    _fft_workers,
+    constant_form_field,
+    hat_theta,
+    i_ddbar,
+    identity_metric,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,8 +219,6 @@ def _suite_derivatives(samples: int, rng) -> list[dict]:
             pt2 = np.einsum("ijrs,ij,rs->", sd.second, h, h).real
             et2 = abs(dt2 - pt2) / max(1.0, abs(pt2))
 
-            from .hermitian import lagrangian_angle_det
-
             dfm = dF(eig_pair(np.eye(n), mat))
             dd1 = (
                 lagrangian_angle_det(np.eye(n), mat + eps1 * h)
@@ -259,8 +268,6 @@ def _suite_subsolution(samples: int, rng) -> list[dict]:
 
 
 def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
-    from .phase import level_set_sample_batch
-
     rows = []
     for n in (2, 3):
         for sigma in (
@@ -298,8 +305,6 @@ def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
 
 
 def _suite_invariance(samples: int, rng, grid_n: int, grid_N: int) -> list[dict]:
-    from .torus import TorusGrid, constant_form_field, identity_metric
-
     grid = TorusGrid(grid_n, grid_N)
     omega = identity_metric(grid)
     chi0 = constant_form_field(grid, 0.4 * np.eye(grid_n))

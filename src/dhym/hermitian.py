@@ -7,9 +7,11 @@ forms, the first/second derivative tensors of eigenvalues and of spectral
 functions at diagonal matrices with distinct spectrum, and elementary
 symmetric polynomials.
 
-The pencil eigensolver uses Cholesky whitening followed by a cyclic Jacobi
-sweep on the whitened Hermitian matrix.  All kernels have a batched variant
-operating on arrays of shape (B, n, n); the scalar API is the B = 1 case.
+The pencil eigensolver whitens chi by the Cholesky factor of omega, whose
+explicit 1e-12 pivot rule is the one the torus metric check mirrors, and
+diagonalizes the whitened matrix with LAPACK (numpy's batched eigh).  The
+eigensolver works on batches of shape (B, n, n); the scalar API is the
+B = 1 case.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .errors import (
 MAX_DIM = 4
 CHOLESKY_PIVOT_MIN = 1e-12
 DISTINCT_GAP_MIN = 1e-6
-_JACOBI_SWEEPS = 12
-_JACOBI_TOL = 1e-15
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -81,26 +81,28 @@ class SpectralDerivatives:
 
 
 # ---------------------------------------------------------------------------
-# batched linear-algebra primitives (hand-rolled so n <= 4 stays dependency
-# free and the pivot semantics are explicit)
+# batched pencil eigensolver: explicit Cholesky pivots, then LAPACK eigh on
+# the whitened matrix
 # ---------------------------------------------------------------------------
 
 
 def cholesky_batch(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a batch of Hermitian matrices.
 
-    Raises NotPositiveDefinite as soon as any pivot drops to 1e-12 or below.
+    Raises NotPositiveDefinite at the first batch element whose pivot is
+    non-finite or 1e-12 or below.
     """
     a = np.asarray(a, dtype=complex)
-    batch, n = a.shape[0], a.shape[1]
+    n = a.shape[1]
     low = np.zeros_like(a)
     for j in range(n):
         pivot = a[:, j, j].real - np.sum(np.abs(low[:, j, :j]) ** 2, axis=-1)
-        if np.any(pivot <= CHOLESKY_PIVOT_MIN) or not np.all(np.isfinite(pivot)):
-            bad = int(np.argmin(pivot))
+        bad = ~(np.isfinite(pivot) & (pivot > CHOLESKY_PIVOT_MIN))
+        if np.any(bad):
+            first = int(np.argmax(bad))
             raise NotPositiveDefinite(
-                f"Cholesky pivot {pivot[bad]:.3e} <= {CHOLESKY_PIVOT_MIN:g} "
-                f"at pivot index {j} (batch element {bad})"
+                f"Cholesky pivot {pivot[first]:.3e} at pivot index {j} (batch "
+                f"element {first}) is not a finite value above {CHOLESKY_PIVOT_MIN:g}"
             )
         low[:, j, j] = np.sqrt(pivot)
         for i in range(j + 1, n):
@@ -108,122 +110,27 @@ def cholesky_batch(a: np.ndarray) -> np.ndarray:
             if j:
                 acc = acc - np.sum(low[:, i, :j] * np.conj(low[:, j, :j]), axis=-1)
             low[:, i, j] = acc / low[:, j, j]
-    del batch
     return low
 
 
-def _forward_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L Y = rhs for Y, batched, L lower triangular."""
-    n = low.shape[1]
-    out = np.empty_like(rhs)
-    for i in range(n):
-        acc = rhs[:, i, :]
-        if i:
-            acc = acc - np.einsum("bk,bkj->bj", low[:, i, :i], out[:, :i, :])
-        out[:, i, :] = acc / low[:, i, i][:, None]
-    return out
-
-
-def _backward_solve_h(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L^H W = rhs for W, batched."""
-    n = low.shape[1]
-    out = np.empty_like(rhs)
-    for i in range(n - 1, -1, -1):
-        acc = rhs[:, i, :]
-        if i < n - 1:
-            acc = acc - np.einsum(
-                "bk,bkj->bj", np.conj(low[:, i + 1 :, i]), out[:, i + 1 :, :]
-            )
-        out[:, i, :] = acc / np.conj(low[:, i, i])[:, None]
-    return out
-
-
-def whiten_batch(omega: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (L, M) with omega = L L^H and M = L^-1 chi L^-H Hermitian."""
-    low = cholesky_batch(omega)
-    y = _forward_solve(low, chi)
-    zh = _forward_solve(low, np.conj(np.swapaxes(y, -1, -2)))
-    m = np.conj(np.swapaxes(zh, -1, -2))
-    return low, symmetrize(m)
-
-
-def jacobi_eigh_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a batch of Hermitian matrices.
-
-    Returns (vals, vecs) with mats = vecs @ diag(vals) @ vecs^H, vecs unitary,
-    eigenvalues sorted descending.
-    """
-    a = np.array(mats, dtype=complex)
-    batch, n = a.shape[0], a.shape[1]
-    vecs = np.zeros_like(a)
-    vecs[:, np.arange(n), np.arange(n)] = 1.0
-    if n == 1:
-        vals = a[:, 0, 0].real.reshape(batch, 1)
-        return vals, vecs
-
-    scale = 1.0 + np.max(np.abs(a), axis=(-1, -2))
-    for _ in range(_JACOBI_SWEEPS):
-        off = np.zeros(batch)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = np.maximum(off, np.abs(a[:, p, q]))
-        if np.all(off <= _JACOBI_TOL * scale):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                absa = np.abs(apq)
-                active = absa > _JACOBI_TOL * scale
-                if not np.any(active):
-                    continue
-                safe = np.where(absa > 0.0, absa, 1.0)
-                phase = np.where(absa > 0.0, apq / safe, 1.0)
-                tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe)
-                t = np.sign(tau)
-                t = np.where(t == 0.0, 1.0, t) / (np.abs(tau) + np.sqrt(1.0 + tau**2))
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t**2)
-                s = t * c
-                # G differs from the identity only in rows/cols p, q:
-                # G[p,p]=c, G[p,q]=s, G[q,p]=-s conj(phase), G[q,q]=c conj(phase)
-                gqp = -s * np.conj(phase)
-                gqq = c * np.conj(phase)
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * col_p + gqp[:, None] * col_q
-                a[:, :, q] = s[:, None] * col_p + gqq[:, None] * col_q
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * row_p + np.conj(gqp)[:, None] * row_q
-                a[:, q, :] = s[:, None] * row_p + np.conj(gqq)[:, None] * row_q
-                # keep the matrix exactly Hermitian against round-off drift
-                a[:, p, q] = np.conj(a[:, q, p])
-                a[:, p, p] = a[:, p, p].real
-                a[:, q, q] = a[:, q, q].real
-                vcol_p = vecs[:, :, p].copy()
-                vcol_q = vecs[:, :, q].copy()
-                vecs[:, :, p] = c[:, None] * vcol_p + gqp[:, None] * vcol_q
-                vecs[:, :, q] = s[:, None] * vcol_p + gqq[:, None] * vcol_q
-
-    vals = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs
-
-
 def eig_pair_batch(omega: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched pencil eigendata: eigenvalues (descending) and transforms W."""
+    """Batched pencil eigendata: eigenvalues (descending) and transforms W.
+
+    With omega = L L^H, the whitened matrix M = L^-1 chi L^-H has the pencil
+    eigenvalues; eigh gives M = V diag(lambdas) V^H and W = L^-H V.
+    """
     omega = np.asarray(omega, dtype=complex)
     chi = np.asarray(chi, dtype=complex)
     if omega.shape != chi.shape:
         raise DimensionMismatch(
             f"omega shape {omega.shape} != chi shape {chi.shape}"
         )
-    low, m = whiten_batch(omega, chi)
-    vals, vecs = jacobi_eigh_batch(m)
-    w = _backward_solve_h(low, vecs)
-    return vals, w
+    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(chi))):
+        raise DimensionMismatch("omega and chi entries must be finite")
+    low_inv = np.linalg.inv(cholesky_batch(omega))
+    low_inv_h = np.conj(np.swapaxes(low_inv, -1, -2))
+    vals, vecs = np.linalg.eigh(symmetrize(low_inv @ chi @ low_inv_h))
+    return vals[:, ::-1], low_inv_h @ vecs[:, :, ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +197,8 @@ def eigenvalue_derivatives(lam_diag) -> tuple[np.ndarray, np.ndarray]:
     first[i, p, q] = delta_{pi} delta_{qi}; second[i, p, q, r, s] carries the
     usual 1/(lambda_i - lambda_p) resolvent weights.
     """
-    lam_diag = as_hermitian(lam_diag)
-    n = lam_diag.shape[0]
-    offdiag = lam_diag - np.diag(np.diagonal(lam_diag))
-    if np.max(np.abs(offdiag)) > 1e-12:
-        raise DimensionMismatch("input must be a diagonal matrix")
-    lam = np.diagonal(lam_diag).real
-    _require_distinct(lam)
+    lam = _distinct_diagonal(lam_diag)
+    n = lam.shape[0]
 
     first = np.zeros((n, n, n))
     for i in range(n):
@@ -315,7 +217,13 @@ def eigenvalue_derivatives(lam_diag) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _require_distinct(lam: np.ndarray) -> None:
+def _distinct_diagonal(lam_diag) -> np.ndarray:
+    """Real diagonal of a diagonal Hermitian matrix with pairwise gaps >= 1e-6."""
+    lam_diag = as_hermitian(lam_diag)
+    offdiag = lam_diag - np.diag(np.diagonal(lam_diag))
+    if np.max(np.abs(offdiag)) > 1e-12:
+        raise DimensionMismatch("input must be a diagonal matrix")
+    lam = np.diagonal(lam_diag).real
     n = lam.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
@@ -324,6 +232,7 @@ def _require_distinct(lam: np.ndarray) -> None:
                     f"eigenvalue gap |{lam[i]:.6g} - {lam[j]:.6g}| below "
                     f"{DISTINCT_GAP_MIN:g}"
                 )
+    return lam
 
 
 def _f_arctan(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,12 +262,7 @@ def spectral_function_derivatives(
     tensor carries the divided differences (f_i - f_j)/(lambda_i - lambda_j)
     on the off-diagonal pair slots.
     """
-    lam_diag = as_hermitian(lam_diag)
-    offdiag = lam_diag - np.diag(np.diagonal(lam_diag))
-    if np.max(np.abs(offdiag)) > 1e-12:
-        raise DimensionMismatch("input must be a diagonal matrix")
-    lam = np.diagonal(lam_diag).real
-    _require_distinct(lam)
+    lam = _distinct_diagonal(lam_diag)
     n = lam.shape[0]
     order = np.argsort(-lam)
     if f_id == "arctan_sum":

@@ -21,7 +21,7 @@ from .errors import (
     PhaseOutOfRange,
     PreconditionFailed,
 )
-from .hermitian import sigma_k, symmetrize
+from .hermitian import eig_pair, sigma_k, symmetrize
 
 LEVEL_SET_TOL = 1e-9
 MARCH_T_MAX = 1e6
@@ -305,8 +305,6 @@ def dichotomy_kappa_estimate(
         raise PreconditionFailed("samples must be at least 1e3")
     b_matrix = symmetrize(np.asarray(b_matrix, dtype=complex))
     n = spec.n
-    from .hermitian import eig_pair  # local import avoids cycle at module load
-
     lam_b = eig_pair(np.eye(n), b_matrix).lambdas
     shifted = lam_b - 2.0 * delta
     extremes = _march_extent(shifted, spec.sigma, MARCH_T_MAX, MARCH_STEPS)

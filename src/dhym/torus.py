@@ -111,7 +111,11 @@ class ScalarField:
 
 @dataclass
 class HermitianFormField:
-    """Field of n x n Hermitian matrices over a torus grid."""
+    """Field of n x n Hermitian matrices over a torus grid.
+
+    Values are checked finite and symmetrized unless the caller passes
+    _symmetrized=True for an array that is Hermitian by construction.
+    """
 
     grid: TorusGrid
     values: np.ndarray
@@ -125,14 +129,19 @@ class HermitianFormField:
                 f"form field shape {self.values.shape} != expected {want}"
             )
         if not self._symmetrized:
+            if not np.all(np.isfinite(self.values)):
+                raise DimensionMismatch("form field values must be finite")
             self.values = symmetrize(self.values)
 
 
 def constant_form_field(grid: TorusGrid, matrix) -> HermitianFormField:
     """Spatially constant Hermitian-form field."""
-    m = symmetrize(np.asarray(matrix, dtype=complex))
+    m = np.asarray(matrix, dtype=complex)
     if m.shape != (grid.n, grid.n):
         raise DimensionMismatch(f"matrix shape {m.shape} != ({grid.n}, {grid.n})")
+    if not np.all(np.isfinite(m)):
+        raise DimensionMismatch("form matrix entries must be finite")
+    m = symmetrize(m)
     vals = np.broadcast_to(m, grid.shape + m.shape).copy()
     return HermitianFormField(grid, vals, _symmetrized=True)
 

@@ -14,11 +14,11 @@ from dhym.errors import (
     NotPositiveDefinite,
 )
 from dhym.hermitian import (
+    cholesky_batch,
     dF,
     eig_pair,
     eig_pair_batch,
     eigenvalue_derivatives,
-    jacobi_eigh_batch,
     lagrangian_angle_det,
     sigma_k,
     spectral_function_derivatives,
@@ -114,13 +114,22 @@ def test_batch_matches_scalar(rng):
             assert np.max(np.abs(vals[b] - es.lambdas)) <= 1e-11
 
 
-def test_jacobi_unitary_accumulation(rng):
-    mats = np.stack([random_hermitian(rng, 4) for _ in range(10)])
-    vals, vecs = jacobi_eigh_batch(mats)
-    for b in range(10):
-        rec = vecs[b] @ np.diag(vals[b]) @ vecs[b].conj().T
-        assert np.max(np.abs(rec - mats[b])) <= 1e-12 * (1 + np.max(np.abs(mats[b])))
-        assert np.max(np.abs(vecs[b].conj().T @ vecs[b] - np.eye(4))) <= 1e-13
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_cholesky_reports_first_bad_element(bad):
+    a = np.stack([np.eye(2)] * 4).astype(complex)
+    a[2, 1, 1] = bad
+    a[3, 1, 1] = -1.0
+    with pytest.raises(NotPositiveDefinite, match=r"pivot index 1 \(batch element 2\)"):
+        cholesky_batch(a)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("which", ["omega", "chi"])
+def test_batch_rejects_non_finite(bad, which):
+    pair = {"omega": np.stack([np.eye(2)] * 3), "chi": np.zeros((3, 2, 2))}
+    pair[which][1, 0, 1] = bad
+    with pytest.raises(DimensionMismatch, match="finite"):
+        eig_pair_batch(pair["omega"], pair["chi"])
 
 
 # --- angles ----------------------------------------------------------------

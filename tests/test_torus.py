@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dhym.errors import DimensionMismatch, NotPositiveDefinite
-from dhym.hermitian import dF, eig_pair, lagrangian_angle_det
+from dhym.hermitian import dF, eig_pair, eig_pair_batch, lagrangian_angle_det
 from dhym.torus import (
     HermitianFormField,
     ScalarField,
@@ -44,6 +44,17 @@ def test_grid_validation():
         TorusGrid(1, 48)
     with pytest.raises(DimensionMismatch):
         TorusGrid(1, 128)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_form_fields_reject_non_finite(bad):
+    g = TorusGrid(1, 8)
+    vals = np.ones(g.shape + (1, 1), dtype=complex)
+    vals[3, 5] = bad
+    with pytest.raises(DimensionMismatch, match="finite"):
+        HermitianFormField(g, vals)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        constant_form_field(g, [[bad]])
 
 
 # --- i_ddbar ----------------------------------------------------------------
@@ -220,13 +231,10 @@ def test_theta_field_matches_pencil_arctan(n):
 def test_pencil_eigenvalues_match_scalar_kernel():
     g = TorusGrid(2, 8)
     om, chi = _random_pencil_fields(g, 11)
-    lam = pencil_eigenvalues(om, chi)
-    flat_om = om.values.reshape(-1, 2, 2)
-    flat_chi = chi.values.reshape(-1, 2, 2)
-    flat_lam = lam.reshape(-1, 2)
-    for idx in range(0, flat_om.shape[0], 301):
-        es = eig_pair(flat_om[idx], flat_chi[idx])
-        assert np.max(np.abs(es.lambdas - flat_lam[idx])) <= 1e-11
+    lam = pencil_eigenvalues(om, chi).reshape(-1, 2)
+    ref, _ = eig_pair_batch(om.values.reshape(-1, 2, 2), chi.values.reshape(-1, 2, 2))
+    assert lam.shape == (g.num_points, 2)
+    assert np.max(np.abs(ref - lam)) <= 1e-11
 
 
 # --- linearization kernel ----------------------------------------------------------
