@@ -27,7 +27,10 @@ from .torus import (
     HermitianFormField,
     ScalarField,
     TorusGrid,
-    eta_inverse_values,
+    _check_metric_positive,
+    _density,
+    _hessian_planes,
+    _kernel_planes,
     i_ddbar,
     inverse_laplacian_quarter,
     theta_field,
@@ -42,7 +45,9 @@ class DhymProblem:
     """One instance of the phase equation on a torus.
 
     target is either a ScalarField h(x) or a constant angle; its values must
-    stay in [(n-2) pi/2 + eps0, n pi/2) pointwise.
+    stay in [(n-2) pi/2 + eps0, n pi/2) pointwise.  omega is checked
+    positive-definite here, once; the solver's state evaluations and kernels
+    rely on that check.
     """
 
     grid: TorusGrid
@@ -59,6 +64,7 @@ class DhymProblem:
                 raise DimensionMismatch("form fields live on a different grid")
         if isinstance(self.target, ScalarField) and self.target.grid != self.grid:
             raise DimensionMismatch("target field lives on a different grid")
+        _check_metric_positive(self.omega.values, self.grid.n)
         lo = self.phase_floor + self.eps0
         hi = self.grid.n * np.pi / 2
         vals = self.target_values()
@@ -132,7 +138,7 @@ def evaluate_state(u: ScalarField, c: float, prob: DhymProblem) -> StateEval:
     chi = HermitianFormField(
         prob.grid, prob.chi0.values + i_ddbar(u).values, _symmetrized=True
     )
-    theta = theta_field(prob.omega, chi).values
+    theta = np.angle(_density(prob.omega, chi))
     res = ScalarField(prob.grid, theta - prob.target_values() - c)
     return StateEval(
         chi=chi,
@@ -149,18 +155,24 @@ def residual(u: ScalarField, c: float, prob: DhymProblem) -> ScalarField:
 
 
 def linearization_kernel(chi: HermitianFormField, prob: DhymProblem) -> np.ndarray:
-    """Pointwise Hermitian coefficient matrices of the linearized operator.
+    """Real weight planes of the linearized operator, shape (n^2,) + grid.
 
-    These are the inverses of omega + chi omega^-1 chi at the state whose
-    form is chi (see evaluate_state); the derivative of the phase in
-    direction v contracts them against the complex Hessian of v.
+    K = (omega + chi omega^-1 chi)^-1 at the state whose form is chi (see
+    evaluate_state).  The derivative of the phase in direction v is
+    tr(K i ddbar v) = sum_j K_jj v_jj + sum_{j<k} 2 Re(K_jk conj(v_jk)), so
+    the planes [K_jj for each j, then 2 Re K_jk and 2 Im K_jk for each j < k]
+    pair one to one with the Hessian planes of v (torus._hessian_planes).
     """
-    return eta_inverse_values(prob.omega, chi)
+    return _kernel_planes(prob.omega, chi)
 
 
 def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
-    hess = i_ddbar(ScalarField(grid, v_values)).values
-    return np.einsum("...ij,...ji->...", kernel, hess).real
+    """tr(K i ddbar v): the kernel's weight planes times v's Hessian planes."""
+    planes = _hessian_planes(v_values, grid)
+    out = kernel[0] * next(planes)
+    for weight, plane in zip(kernel[1:], planes):
+        out += weight * plane
+    return out
 
 
 def linearized_apply(u: ScalarField, v: ScalarField, prob: DhymProblem) -> ScalarField:
@@ -226,20 +238,23 @@ def _solve_inner(
     if bnorm == 0.0:
         return np.zeros(shape)
 
-    x, _ = spla.gmres(
+    restart = min(60, cfg.krylov_iters)
+    cycles = max(1, cfg.krylov_iters // 60)
+    x, info = spla.gmres(
         spla.LinearOperator((npts, npts), matvec=matvec),
         b,
         rtol=max(cfg.krylov_tol, 1e-14),
         atol=0.0,
-        restart=min(60, cfg.krylov_iters),
-        maxiter=max(1, cfg.krylov_iters // 60),
+        restart=restart,
+        maxiter=cycles,
         M=spla.LinearOperator((npts, npts), matvec=precond),
     )
     achieved = float(np.linalg.norm(matvec(x) - b))
     if not np.isfinite(achieved) or achieved > max(10.0 * cfg.krylov_tol, 1e-9) * bnorm:
         raise LinearSolveStalled(
-            f"gmres residual {achieved:.3e} vs rhs norm "
-            f"{bnorm:.3e} after {cfg.krylov_iters} iterations"
+            f"gmres residual {achieved:.3e} vs rhs norm {bnorm:.3e} after at most "
+            f"{restart * cycles} iterations ({cycles} cycles of {restart}, "
+            f"gmres info {info})"
         )
     return project(x.reshape(shape))
 
@@ -344,8 +359,8 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         raise PhaseOutOfRange("continuity_solve needs a constant target")
     grid = prob.grid
     h_hat = float(prob.target)
-    theta0 = theta_field(prob.omega, prob.chi0)
-    if theta0.values.min() < prob.phase_floor + prob.eps0 - 1e-12:
+    theta0 = np.angle(_density(prob.omega, prob.chi0))
+    if theta0.min() < prob.phase_floor + prob.eps0 - 1e-12:
         raise PhaseFloorViolated("initial phase field is not supercritical")
 
     u = ScalarField(grid, np.zeros(grid.shape))
@@ -360,7 +375,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     while t < 1.0:
         t_next = min(1.0, t + dt)
         stage_target = ScalarField(
-            grid, (1.0 - t_next) * theta0.values + t_next * h_hat
+            grid, (1.0 - t_next) * theta0 + t_next * h_hat
         )
         stage_prob = DhymProblem(
             grid=grid,

@@ -5,16 +5,26 @@ real axis and period 2 pi, using real coordinates ordered (x1, y1, x2, y2)
 and complex coordinates z_j = x_j + i y_j.  Scalar fields are real arrays on
 the grid; Hermitian-form fields carry an n x n Hermitian matrix per point.
 
-The complex Hessian operator i ddbar is realized with Fourier multipliers.
+The complex Hessian operator i ddbar is realized with Fourier multipliers
+on the half spectrum of real-to-complex transforms (fftn/ifftn below are the
+rfftn/irfftn pair).  One forward transform of a real field u gives its n^2
+real Hessian planes: u_{j jbar} for each j, then Re u_{j kbar} and
+Im u_{j kbar} for each j < k; each plane is the inverse transform of a real,
+even symbol times the half spectrum.  The symbols are products of per-axis
+wavenumber vectors, which are cached.
+
 The phase, its linearization kernel and the averaged angle all derive from
 the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
 Arg det(omega + i chi), the kernel (omega + chi omega^-1 chi)^-1 is the
 Hermitian part of (omega + i chi)^-1, and the averaged angle integrates the
-density det(omega + i chi) with an explicit branch lift.
+density det(omega + i chi) with an explicit branch lift.  The solver takes
+the kernel as n^2 real weight planes that pair with the Hessian planes, so
+its matvec tr(K i ddbar v) never builds a complex Hessian.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -45,11 +55,13 @@ def _fft_workers() -> int:
 
 
 def fftn(values: np.ndarray) -> np.ndarray:
-    return _fft.fftn(values, workers=_fft_workers())
+    """Half spectrum of a real field (last axis N // 2 + 1 long)."""
+    return _fft.rfftn(values, workers=_fft_workers())
 
 
-def ifftn(values: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(values, workers=_fft_workers())
+def ifftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real field of the given grid shape from its half spectrum."""
+    return _fft.irfftn(values, s=shape, workers=_fft_workers())
 
 
 @dataclass(frozen=True)
@@ -176,68 +188,92 @@ class AngleResult:
 # ---------------------------------------------------------------------------
 
 
-def _hessian_symbol(grid: TorusGrid, j: int, k: int) -> np.ndarray:
-    """Fourier symbol of entry (j, k) of i_ddbar, broadcastable to the grid.
+@functools.lru_cache(maxsize=None)
+def _wavenumbers(N: int, n: int, axis: int, keep_nyquist: bool) -> np.ndarray:
+    """Integer wavenumbers of one real axis, broadcastable to the half spectrum.
 
-    A diagonal entry is the real symbol -(kx^2 + ky^2)/4, which keeps the
-    Nyquist mode of the pure second derivatives; an off-diagonal entry is
-    built from products of first-derivative symbols (i k_a)(i k_b), whose
-    Nyquist mode is zeroed.
+    The last axis holds the non-negative rfftfreq half, the others the full
+    fftfreq order.  Without keep_nyquist the Nyquist mode is zeroed, which
+    makes the vector odd.  The result is cached and read-only.
     """
+    last = axis == 2 * n - 1
+    kv = (np.fft.rfftfreq(N) if last else np.fft.fftfreq(N)) * N
+    if not keep_nyquist:
+        kv[N // 2] = 0.0
+    shape = [1] * (2 * n)
+    shape[axis] = kv.size
+    kv = kv.reshape(shape)
+    kv.flags.writeable = False
+    return kv
 
-    def wavenumbers(axis: int) -> np.ndarray:
-        kv = np.fft.fftfreq(grid.N) * grid.N
-        if j != k:
-            kv[grid.N // 2] = 0.0
-        shape = [1] * (2 * grid.n)
-        shape[axis] = grid.N
-        return kv.reshape(shape)
 
-    kxj, kyj = wavenumbers(2 * j), wavenumbers(2 * j + 1)
-    if j == k:
-        return -0.25 * (kxj**2 + kyj**2)
-    kxk, kyk = wavenumbers(2 * k), wavenumbers(2 * k + 1)
-    real_part = -0.25 * (kxj * kxk + kyj * kyk)
-    imag_part = -0.25 * (kxj * kyk - kyj * kxk)
-    return real_part + 1j * imag_part
+def _diagonal_symbol(grid: TorusGrid, j: int) -> np.ndarray:
+    """Symbol -(kx_j^2 + ky_j^2)/4 of u_{j jbar}; keeps the Nyquist mode of
+    the pure second derivatives."""
+    kx, ky = (_wavenumbers(grid.N, grid.n, a, True) for a in (2 * j, 2 * j + 1))
+    return -0.25 * (kx**2 + ky**2)
+
+
+def _hessian_planes(values: np.ndarray, grid: TorusGrid):
+    """Yield the n^2 real Hessian planes of a real field, in plane order.
+
+    The planes are u_{j jbar} for each j, then Re u_{j kbar} and
+    Im u_{j kbar} for each j < k, where u_{j kbar} is
+    (1/4)(d_{x_j} d_{x_k} + d_{y_j} d_{y_k}) u
+    + (i/4)(d_{x_j} d_{y_k} - d_{y_j} d_{x_k}) u.  One forward transform
+    feeds every plane.  Off-diagonal symbols are products of
+    first-derivative symbols (i k_a)(i k_b) whose Nyquist mode is zeroed, so
+    every symbol is real and even and every plane is real.
+    """
+    N, n = grid.N, grid.n
+    uhat = fftn(values)
+    for j in range(n):
+        yield ifftn(_diagonal_symbol(grid, j) * uhat, grid.shape)
+    for j in range(n):
+        for k in range(j + 1, n):
+            kxj, kyj, kxk, kyk = (
+                _wavenumbers(N, n, a, False) for a in (2 * j, 2 * j + 1, 2 * k, 2 * k + 1)
+            )
+            yield ifftn(-0.25 * (kxj * kxk + kyj * kyk) * uhat, grid.shape)
+            yield ifftn(-0.25 * (kxj * kyk - kyj * kxk) * uhat, grid.shape)
+
+
+def _from_planes(planes, grid: TorusGrid) -> np.ndarray:
+    """(..., n, n) Hermitian values from n^2 real planes in plane order
+    (a_jj for each j, then Re a_jk and Im a_jk for each j < k)."""
+    n = grid.n
+    planes = iter(planes)
+    values = np.empty(grid.shape + (n, n), dtype=complex)
+    for j in range(n):
+        values[..., j, j] = next(planes)
+    for j in range(n):
+        for k in range(j + 1, n):
+            entry = next(planes) + 1j * next(planes)
+            values[..., j, k] = entry
+            values[..., k, j] = np.conj(entry)
+    return values
 
 
 def i_ddbar(u: ScalarField) -> HermitianFormField:
     """Complex Hessian u_{j kbar} of a scalar potential, spectrally.
 
-    Entry (j, k) is (1/4)(d_{x_j} d_{x_k} + d_{y_j} d_{y_k}) u
-    + (i/4)(d_{x_j} d_{y_k} - d_{y_j} d_{x_k}) u with Fourier-multiplier
-    derivatives (_hessian_symbol); the output is Hermitian per point by
-    construction.
+    Assembled from the real Hessian planes (_hessian_planes); the output is
+    Hermitian per point by construction.
     """
-    grid = u.grid
-    n = grid.n
-    uhat = fftn(u.values)
-    # entry-major layout keeps each matrix entry contiguous; the view moved
-    # to (..., n, n) below is what downstream pointwise algebra slices
-    out = np.empty((n, n) + grid.shape, dtype=complex)
-    for j in range(n):
-        out[j, j] = ifftn(_hessian_symbol(grid, j, j) * uhat).real
-        for k in range(j + 1, n):
-            entry = ifftn(_hessian_symbol(grid, j, k) * uhat)
-            out[j, k] = entry
-            out[k, j] = np.conj(entry)
-    values = np.moveaxis(out, (0, 1), (-2, -1))
-    return HermitianFormField(grid, values, _symmetrized=True)
+    values = _from_planes(_hessian_planes(u.values, u.grid), u.grid)
+    return HermitianFormField(u.grid, values, _symmetrized=True)
 
 
 def _laplacian_quarter_symbol(grid: TorusGrid) -> np.ndarray:
-    """Symbol of (1/4) Delta: the sum of the diagonal Hessian symbols.
-
-    The result is a new array of the full grid shape.
-    """
-    diagonal = [_hessian_symbol(grid, j, j) for j in range(grid.n)]
+    """Symbol of (1/4) Delta on the half spectrum: the sum of the diagonal
+    Hessian symbols.  The result is a new array."""
+    diagonal = [_diagonal_symbol(grid, j) for j in range(grid.n)]
     return sum(diagonal[1:], diagonal[0])
 
 
 def laplacian_quarter(u_values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(1/4) Delta u over all 2n real axes, spectrally."""
-    return ifftn(_laplacian_quarter_symbol(grid) * fftn(u_values)).real
+    return ifftn(_laplacian_quarter_symbol(grid) * fftn(u_values), grid.shape)
 
 
 def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -248,7 +284,7 @@ def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     mult[flat_zero] = 1.0
     vhat = fhat / mult
     vhat[flat_zero] = 0.0
-    return ifftn(vhat).real
+    return ifftn(vhat, grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +306,13 @@ def _check_metric_positive(omega: np.ndarray, n: int) -> None:
 
 
 def _complex_form(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
-    """omega + i chi pointwise, after checking omega positive-definite once."""
+    """omega + i chi pointwise.
+
+    omega is not checked here: the public functions below check it on every
+    call, and DhymProblem checks it once for the whole solve.
+    """
     if chi.grid != omega.grid:
         raise DimensionMismatch("omega and chi live on different grids")
-    _check_metric_positive(omega.values, omega.grid.n)
     return omega.values + 1j * chi.values
 
 
@@ -318,23 +357,38 @@ def _det(values: np.ndarray, n: int) -> np.ndarray:
     )
 
 
-def _inv(values: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return 1.0 / values
-    det = _det(values, n)
-    out = np.empty_like(values)
-    out[..., 0, 0] = values[..., 1, 1]
-    out[..., 1, 1] = values[..., 0, 0]
-    out[..., 0, 1] = -values[..., 0, 1]
-    out[..., 1, 0] = -values[..., 1, 0]
-    return out / det[..., None, None]
+def _density(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
+    """det(omega + i chi) pointwise, omega unchecked (see _complex_form)."""
+    return _det(_complex_form(omega, chi), omega.grid.n)
+
+
+def _kernel_planes(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
+    """Weight planes of the Hermitian part K of A = (omega + i chi)^-1.
+
+    Shape (n^2,) + grid, omega unchecked (see _complex_form).  The planes
+    are K_jj for each j, then 2 Re K_jk = Re(A_jk + A_kj) and
+    2 Im K_jk = Im(A_jk - A_kj) for each j < k, so that
+    tr(K H) is the sum of the planes times the planes of a Hermitian H
+    (see _hessian_planes).
+    """
+    form = _complex_form(omega, chi)
+    if omega.grid.n == 1:
+        return np.stack([(1.0 / form[..., 0, 0]).real])
+    det = _det(form, 2)
+    a01, a10 = -form[..., 0, 1] / det, -form[..., 1, 0] / det
+    return np.stack([
+        (form[..., 1, 1] / det).real,
+        (form[..., 0, 0] / det).real,
+        (a01 + a10).real,
+        (a01 - a10).imag,
+    ])
 
 
 def theta_field(omega: HermitianFormField, chi: HermitianFormField) -> ScalarField:
     """Pointwise phase sum(arctan(lambda_i)) of the pencil (omega, chi), as
     Arg det(omega + i chi); det omega > 0 and n <= 2 keep it in (-pi, pi)."""
-    density = _det(_complex_form(omega, chi), omega.grid.n)
-    return ScalarField(omega.grid, np.angle(density))
+    _check_metric_positive(omega.values, omega.grid.n)
+    return ScalarField(omega.grid, np.angle(_density(omega, chi)))
 
 
 def eta_inverse_values(
@@ -343,9 +397,14 @@ def eta_inverse_values(
     """(omega + chi omega^-1 chi)^-1 pointwise, the linearization kernel.
 
     The Hermitian part of (omega + i chi)^-1: by Jacobi's formula the phase
-    derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).
+    derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).  It is
+    assembled from the solver's weight planes (_kernel_planes).
     """
-    return symmetrize(_inv(_complex_form(omega, chi), omega.grid.n))
+    n = omega.grid.n
+    _check_metric_positive(omega.values, n)
+    planes = _kernel_planes(omega, chi)
+    planes[n:] *= 0.5
+    return _from_planes(planes, omega.grid)
 
 
 def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult:
@@ -357,7 +416,8 @@ def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult
     values are not confined to (-pi, pi].
     """
     grid = omega.grid
-    density = _det(_complex_form(omega, chi), grid.n)
+    _check_metric_positive(omega.values, grid.n)
+    density = _density(omega, chi)
     theta = np.angle(density)
     z = np.sum(density) * grid.cell_volume
     principal = float(np.angle(z))

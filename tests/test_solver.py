@@ -1,11 +1,14 @@
 """Newton-Krylov solver: residual, linearization, manufactured and continuity runs."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dhym.errors import (
     LinearSolveStalled,
     MaxItersExceeded,
+    NotPositiveDefinite,
     PathStalled,
     PhaseFloorViolated,
     PhaseOutOfRange,
@@ -217,6 +220,27 @@ def test_newton_starved_krylov_stalls():
         newton_solve(prob, cfg=SolverConfig(tol=1e-11, krylov_iters=1))
 
 
+@pytest.mark.parametrize("krylov_iters,cap,cycles", [(400, 360, 6), (100, 60, 1)])
+def test_stalled_message_reports_gmres_cap(monkeypatch, krylov_iters, cap, cycles):
+    import scipy.sparse.linalg as spla
+
+    def no_progress(A, b, **kwargs):
+        # scipy's gmres reports an unmet tolerance as info = maxiter
+        return np.zeros_like(b), kwargs["maxiter"]
+
+    monkeypatch.setattr(spla, "gmres", no_progress)
+    g = _grid1()
+    ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
+    prob = manufactured_problem(
+        ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
+    )
+    with pytest.raises(
+        LinearSolveStalled,
+        match=rf"after at most {cap} iterations \({cycles} cycles of 60, gmres info {cycles}\)",
+    ):
+        newton_solve(prob, cfg=SolverConfig(krylov_iters=krylov_iters))
+
+
 def test_newton_iteration_budget():
     g = _grid1()
     ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
@@ -279,7 +303,50 @@ def test_newton_evaluates_each_trial_state_once(monkeypatch):
     assert rep.converged and len(rep.newton_trace) > 1
     # an accepted step of length 2^-m is the (m+1)-th trial of its line search
     trials = sum(1 + round(-np.log2(step)) for _, step, _ in rep.newton_trace[1:])
-    assert counts["i_ddbar"] - counts["matvec"] == 1 + trials
+    # matvecs transform Hessian planes directly, so every i_ddbar call is a
+    # state evaluation
+    assert counts["i_ddbar"] == 1 + trials
+    assert counts["matvec"] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_problem_rejects_non_positive_omega(n):
+    g = TorusGrid(n, 8)
+    vals = np.broadcast_to(np.eye(n, dtype=complex), g.shape + (n, n)).copy()
+    idx = (1, 2, 3, 4)[: 2 * n]
+    vals[idx + (n - 1, n - 1)] = -1.0
+    omega = HermitianFormField(g, vals, _symmetrized=True)
+    chi0 = constant_form_field(g, 0.3 * np.eye(n))
+    with pytest.raises(NotPositiveDefinite, match=re.escape(f"grid index {idx}")):
+        DhymProblem(g, omega, chi0, float(n * np.pi / 4), eps0=0.1)
+
+
+def test_newton_checks_omega_once_per_problem(monkeypatch):
+    import dhym.solver as solver
+    import dhym.torus as torus
+
+    g = TorusGrid(2, 8)
+    ustar = ScalarField(g, 0.1 * np.cos(g.axis_coordinate("x1")))
+    omega = identity_metric(g)
+    chi0 = constant_form_field(g, 0.3 * np.eye(2))
+    target = theta_field(
+        omega, HermitianFormField(g, chi0.values + i_ddbar(ustar).values, _symmetrized=True)
+    )
+
+    calls = []
+    check = torus._check_metric_positive
+
+    def counting_check(values, n):
+        calls.append(n)
+        check(values, n)
+
+    monkeypatch.setattr(torus, "_check_metric_positive", counting_check)
+    monkeypatch.setattr(solver, "_check_metric_positive", counting_check)
+    prob = DhymProblem(g, omega, chi0, target, eps0=0.3)
+    assert len(calls) == 1
+    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.converged and len(rep.newton_trace) > 1
+    assert len(calls) == 1
 
 
 # --- supercritical check --------------------------------------------------------------
