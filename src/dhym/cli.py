@@ -1,11 +1,12 @@
 """Command-line interface: solve, check, surface, region, angle.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.  All
-randomness flows from the config seed; identical config and seed reproduce
-byte-identical artifacts except for the timestamp line in the report, which
-comparisons should exclude.  The environment variable DHYM_THREADS caps the
-number of FFT worker threads (0 or unset = automatic); a value that is not
-an integer is a configuration error (exit 2) for every subcommand.
+Exit codes: 0 success, 1 a check suite reported failures, 2 configuration
+error, 3 solver failure.  All randomness flows from the config seed;
+identical config and seed reproduce byte-identical artifacts except for
+the timestamp line in the report, which comparisons should exclude.  The
+environment variable DHYM_THREADS caps the number of FFT worker threads
+(0 or unset = automatic); a value that is not an integer is a
+configuration error (exit 2) for every subcommand.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 from .errors import ConfigError, DhymError, SolverError
 from .fieldio import read_field, write_field
 from .hermitian import (
+    EigenSystem,
     dF,
-    eig_pair,
+    eig_pair_batch,
     eigenvalue_derivatives,
     lagrangian_angle_det,
     spectral_function_derivatives,
     symmetrize,
-    theta_arctan,
 )
 from .phase import (
     PhaseSpec,
@@ -185,41 +186,48 @@ def cmd_solve(args) -> int:
 
 
 def _suite_derivatives(samples: int, rng) -> list[dict]:
+    eps1, eps2 = 1e-5, 1e-4
     rows = []
     for n in (2, 3, 4):
-        worst_first = worst_second = 0.0
-        failures = 0
+        mats, hs = [], []
         for _ in range(samples):
             lam = np.sort(rng.uniform(-2.0, 2.5, n))[::-1]
             lam += np.arange(n)[::-1] * 0.5  # enforce comfortable gaps
-            mat = np.diag(lam)
-            h = symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            eps1, eps2 = 1e-5, 1e-4
+            mats.append(np.diag(lam))
+            hs.append(
+                symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            )
+        mats, hs = np.array(mats), np.array(hs)
+        # every sample's finite-difference stencil, solved in one batch
+        stencil = np.stack(
+            [mats + eps1 * hs, mats - eps1 * hs, mats + eps2 * hs, mats, mats - eps2 * hs],
+            axis=1,
+        )
+        eye = np.broadcast_to(np.eye(n), (5 * samples, n, n))
+        vals, frames = eig_pair_batch(eye, stencil.reshape(-1, n, n))
+        vals, frames = vals.reshape(samples, 5, n), frames.reshape(samples, 5, n, n)
+        theta = np.sum(np.arctan(vals), axis=-1)
+        d1 = (vals[:, 0] - vals[:, 1]) / (2 * eps1)
+        d2 = (vals[:, 2] - 2 * vals[:, 3] + vals[:, 4]) / eps2**2
+        dt1 = (theta[:, 0] - theta[:, 1]) / (2 * eps1)
+        dt2 = (theta[:, 2] - 2 * theta[:, 3] + theta[:, 4]) / eps2**2
 
-            def evals(m):
-                return eig_pair(np.eye(n), m).lambdas
-
-            d1 = (evals(mat + eps1 * h) - evals(mat - eps1 * h)) / (2 * eps1)
+        worst_first = worst_second = 0.0
+        failures = 0
+        for s, (mat, h) in enumerate(zip(mats, hs)):
             first, second = eigenvalue_derivatives(mat)
             p1 = np.einsum("ipq,pq->i", first.astype(complex), h).real
-            e1 = np.max(np.abs(d1 - p1)) / max(1.0, np.max(np.abs(p1)))
-            d2 = (evals(mat + eps2 * h) - 2 * evals(mat) + evals(mat - eps2 * h)) / eps2**2
+            e1 = np.max(np.abs(d1[s] - p1)) / max(1.0, np.max(np.abs(p1)))
             p2 = np.einsum("ipqrs,pq,rs->i", second, h, h).real
-            e2 = np.max(np.abs(d2 - p2)) / max(1.0, np.max(np.abs(p2)))
+            e2 = np.max(np.abs(d2[s] - p2)) / max(1.0, np.max(np.abs(p2)))
 
             sd = spectral_function_derivatives("arctan_sum", mat)
-
-            def theta_of(m):
-                return theta_arctan(eig_pair(np.eye(n), m).lambdas)
-
-            dt1 = (theta_of(mat + eps1 * h) - theta_of(mat - eps1 * h)) / (2 * eps1)
             pt1 = np.einsum("ij,ij->", sd.first, h).real
-            et1 = abs(dt1 - pt1) / max(1.0, abs(pt1))
-            dt2 = (theta_of(mat + eps2 * h) - 2 * theta_of(mat) + theta_of(mat - eps2 * h)) / eps2**2
+            et1 = abs(dt1[s] - pt1) / max(1.0, abs(pt1))
             pt2 = np.einsum("ijrs,ij,rs->", sd.second, h, h).real
-            et2 = abs(dt2 - pt2) / max(1.0, abs(pt2))
+            et2 = abs(dt2[s] - pt2) / max(1.0, abs(pt2))
 
-            dfm = dF(eig_pair(np.eye(n), mat))
+            dfm = dF(EigenSystem(vals[s, 3], frames[s, 3]))
             dd1 = (
                 lagrangian_angle_det(np.eye(n), mat + eps1 * h)
                 - lagrangian_angle_det(np.eye(n), mat - eps1 * h)

@@ -24,9 +24,8 @@ from .errors import (
 from .hermitian import eig_pair, sigma_k, symmetrize
 
 LEVEL_SET_TOL = 1e-9
-MARCH_T_MAX = 1e6
-MARCH_STEPS = 10_000
-_MARCH_T_MIN = 1e-6
+# marching offsets t, shared by every march
+_MARCH_GRID = np.geomspace(1e-6, 1e6, 10_000)
 
 
 def _check_band(n: int, value: float, lo_open: float, hi_open: float, what: str):
@@ -171,35 +170,14 @@ def is_csub_pointwise(mus, h: float) -> SubsolutionVerdict:
     )
 
 
-def csub_bounded_oracle(
-    mus,
-    h: float,
-    t_max: float = MARCH_T_MAX,
-    steps: int = MARCH_STEPS,
-) -> bool:
+def csub_bounded_oracle(mus, h: float) -> bool:
     """Brute-force boundedness verdict for the constrained level set.
 
     The set in question is {lambda' : lambda' >= mu componentwise,
-    sum(arctan(lambda'_l)) = h}.  For each coordinate direction j the oracle
-    marches t over a log grid up to t_max and asks whether lambda' =
-    mu + t e_j can still be completed to a point of that set: completion is
-    feasible iff the minimum achievable angle (all other coordinates at their
-    floor mu_l) does not already exceed h, while the open supremum
-    arctan(mu_j + t) + (n-1) pi/2 still clears h.  The set is bounded iff
-    every direction becomes infeasible through the floor condition before
-    t_max.
+    sum(arctan(lambda'_l)) = h}; it is bounded iff every direction of the
+    march (see _march_extent) terminates.
     """
-    if t_max < 1e3 or steps < 1e3:
-        raise PhaseOutOfRange("marching needs t_max >= 1e3 and steps >= 1e3")
-    mus = np.asarray(mus, dtype=float)
-    n = mus.shape[0]
-    base = _complement_angle_sums(mus)
-    grid = np.geomspace(_MARCH_T_MIN, t_max, int(steps))
-    for j in range(n):
-        floor_angle = base[j] + np.arctan(mus[j] + grid)
-        if not np.any(floor_angle > h):
-            return False
-    return True
+    return _march_extent(np.asarray(mus, dtype=float), h) is not None
 
 
 def csub_stability_margin(verdicts, h: float) -> float:
@@ -226,32 +204,33 @@ def csub_lattice_check(mus, h1: float, h2: float) -> bool:
     )
 
 
-def _march_extent(mus: np.ndarray, sigma: float, t_max: float, steps: int):
+def _march_extent(mus: np.ndarray, sigma: float) -> np.ndarray | None:
     """Per-direction termination coordinates of the constrained level set.
 
-    Returns the array of extreme coordinates mu_j + t_j where t_j is the
-    first marching step at which completion fails, or raises
-    PreconditionFailed if some direction never terminates.
+    For each coordinate direction j the march steps t over a log grid from
+    1e-6 to 1e6 and asks whether lambda' = mu + t e_j can still be completed
+    to a point of the set: completion is feasible iff the minimum achievable
+    angle (all other coordinates at their floor mu_l) does not already
+    exceed sigma.  Returns the coordinates mu_j + t_j of the first
+    infeasible step per direction, or None if some direction never
+    terminates.
     """
-    n = mus.shape[0]
-    base = _complement_angle_sums(mus)
-    grid = np.geomspace(_MARCH_T_MIN, t_max, int(steps))
-    extremes = np.empty(n)
-    for j in range(n):
-        floor_angle = base[j] + np.arctan(mus[j] + grid)
-        hit = np.nonzero(floor_angle > sigma)[0]
-        if hit.size == 0:
-            raise PreconditionFailed(
-                f"constrained level set escapes to infinity in direction {j}"
-            )
-        extremes[j] = mus[j] + grid[hit[0]]
-    return extremes
+    floor_angle = (
+        _complement_angle_sums(mus)[:, None] + np.arctan(mus[:, None] + _MARCH_GRID)
+    )
+    hit = floor_angle > sigma
+    if not np.all(np.any(hit, axis=1)):
+        return None
+    return mus + _MARCH_GRID[np.argmax(hit, axis=1)]
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def _haar_unitary(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar-random n x n unitaries, drawn as count successive pairs of
+    (real, imaginary) standard normal n x n blocks."""
+    z = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _sample_level_set_tail(
@@ -307,7 +286,9 @@ def dichotomy_kappa_estimate(
     n = spec.n
     lam_b = eig_pair(np.eye(n), b_matrix).lambdas
     shifted = lam_b - 2.0 * delta
-    extremes = _march_extent(shifted, spec.sigma, MARCH_T_MAX, MARCH_STEPS)
+    extremes = _march_extent(shifted, spec.sigma)
+    if extremes is None:
+        raise PreconditionFailed("constrained level set escapes to infinity")
     corner = np.sqrt(np.sum(np.maximum(shifted**2, extremes**2)))
     if corner > radius:
         raise PreconditionFailed(
@@ -318,18 +299,16 @@ def dichotomy_kappa_estimate(
     pool = _sample_level_set_tail(spec, samples, rng)
     # pair each candidate with its unitary before the radius filter, so a
     # smaller radius strictly enlarges the evaluated sample set
-    frames = [_haar_unitary(n, rng) for _ in range(pool.shape[0])]
-    norms = np.linalg.norm(pool, axis=1)
-    keep = norms > radius
+    frames = _haar_unitary(n, pool.shape[0], rng)
+    keep = np.linalg.norm(pool, axis=1) > radius
     if not np.any(keep):
         raise PreconditionFailed("no level-set samples beyond the radius")
 
-    kappa_hat = np.inf
-    for lam, u in zip(pool[keep], [f for f, k in zip(frames, keep) if k]):
-        a = (u * lam) @ u.conj().T
-        eta_inv = np.linalg.inv(np.eye(n) + a @ a)
-        trace = float(np.trace(eta_inv).real)
-        k1 = float(np.trace(eta_inv @ (b_matrix - a)).real) / trace
-        k2 = float(np.min(np.diagonal(eta_inv).real)) / trace
-        kappa_hat = min(kappa_hat, max(k1, k2))
-    return float(kappa_hat)
+    lam, u = pool[keep], frames[keep]
+    u_h = np.swapaxes(np.conj(u), -1, -2)
+    a = (u * lam[:, None, :]) @ u_h
+    eta_inv = np.linalg.inv(np.eye(n) + a @ a)
+    trace = np.trace(eta_inv, axis1=-2, axis2=-1).real
+    k1 = np.trace(eta_inv @ (b_matrix - a), axis1=-2, axis2=-1).real / trace
+    k2 = np.min(np.diagonal(eta_inv, axis1=-2, axis2=-1).real, axis=-1) / trace
+    return float(np.min(np.maximum(k1, k2)))

@@ -51,7 +51,6 @@ _SECTIONS = {
         "eps0",
         "delta",
         "radius",
-        "tol",
     },
     "output": {"dir"},
 }

@@ -38,6 +38,7 @@ from .torus import (
 
 DT_MIN = 1.0 / 1024.0
 DT_MAX = 0.25
+FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 
 
 @dataclass
@@ -90,10 +91,7 @@ class SolverConfig:
     max_iters: int = 40
     krylov_tol: float = 1e-12
     krylov_iters: int = 400
-    start_margin: float = 0.0
     line_search_halvings: int = 40
-    fast_stage_iters: int = 4  # continuation doubles dt at or below this
-    dt_init: float = DT_MAX
 
 
 @dataclass
@@ -281,7 +279,7 @@ def newton_solve(
     floor = prob.phase_floor
 
     state = evaluate_state(ScalarField(grid, u_vals), c, prob)
-    if state.min_phase < floor + cfg.start_margin:
+    if state.min_phase < floor:
         raise PhaseFloorViolated(
             "initial state is not supercritical for this problem"
         )
@@ -364,13 +362,11 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         raise PhaseFloorViolated("initial phase field is not supercritical")
 
     u = ScalarField(grid, np.zeros(grid.shape))
-    c = 0.0
     t = 0.0
-    dt = min(max(cfg.dt_init, DT_MIN), DT_MAX)
+    dt = DT_MAX
     continuity_trace: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
     newton_trace: list[tuple[float, float, float]] = []
     iterate_rows: list[tuple[int, float, float, float, float]] = []
-    report = None
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -403,15 +399,15 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         )
         continuity_trace.append((t_next, c, iters))
         t = t_next
-        if iters <= cfg.fast_stage_iters:
+        if iters <= FAST_STAGE_ITERS:
             dt = min(2.0 * dt, DT_MAX)
 
-    final = report if report is not None else newton_solve(prob, u0=u, cfg=cfg)
+    # the loop ends only after a successful stage, so report is the last one
     return SolveReport(
-        u=final.u,
-        c=final.c,
-        residual_sup=final.residual_sup,
-        converged=final.converged,
+        u=report.u,
+        c=report.c,
+        residual_sup=report.residual_sup,
+        converged=report.converged,
         newton_trace=newton_trace,
         continuity_trace=continuity_trace,
         iterate_rows=iterate_rows,

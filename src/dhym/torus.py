@@ -32,7 +32,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
-from .hermitian import CHOLESKY_PIVOT_MIN, symmetrize
+from .hermitian import CHOLESKY_PIVOT_MIN, eig_pair_batch, symmetrize
 
 TWO_PI = 2.0 * np.pi
 
@@ -319,33 +319,16 @@ def _complex_form(omega: HermitianFormField, chi: HermitianFormField) -> np.ndar
 def pencil_eigenvalues(omega: HermitianFormField, chi: HermitianFormField):
     """Pointwise eigenvalues of the pencil (omega, chi), descending.
 
-    Closed-form Cholesky whitening per point (one Jacobi rotation suffices
-    for 2 x 2).  Returns an array of shape grid.shape + (n,).
+    One hermitian.eig_pair_batch call over the flattened grid.  Returns an
+    array of shape grid.shape + (n,).
     """
     grid = omega.grid
-    n = grid.n
     if chi.grid != grid:
         raise DimensionMismatch("omega and chi live on different grids")
-    om, ch = omega.values, chi.values
-    _check_metric_positive(om, n)
-    if n == 1:
-        return (ch[..., 0, 0].real / om[..., 0, 0].real)[..., None]
-    x = ch[..., 0, 0].real
-    y = ch[..., 0, 1]
-    z = ch[..., 1, 1].real
-    p = om[..., 0, 0].real
-    r = om[..., 0, 1]
-    q = om[..., 1, 1].real
-    d2 = q - np.abs(r) ** 2 / p
-    a = 1.0 / np.sqrt(p)
-    c = 1.0 / np.sqrt(d2)
-    b = -np.conj(r) * a * a * c  # -l21/(l11 l22) with l21 = conj(r)/sqrt(p)
-    m11 = a * a * x
-    m12 = a * x * np.conj(b) + a * c * y
-    m22 = np.abs(b) ** 2 * x + 2.0 * c * (b * y).real + c * c * z
-    half = 0.5 * (m11 + m22)
-    radius = np.sqrt((0.5 * (m11 - m22)) ** 2 + np.abs(m12) ** 2)
-    return np.stack([half + radius, half - radius], axis=-1)
+    _check_metric_positive(omega.values, grid.n)
+    flat = (-1, grid.n, grid.n)
+    vals, _ = eig_pair_batch(omega.values.reshape(flat), chi.values.reshape(flat))
+    return vals.reshape(grid.shape + (grid.n,))
 
 
 def _det(values: np.ndarray, n: int) -> np.ndarray:

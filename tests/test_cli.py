@@ -5,7 +5,16 @@ import csv
 import numpy as np
 import pytest
 
-from dhym.cli import main
+from dhym.cli import _suite_derivatives, main
+from dhym.hermitian import (
+    dF,
+    eig_pair,
+    eigenvalue_derivatives,
+    lagrangian_angle_det,
+    spectral_function_derivatives,
+    symmetrize,
+    theta_arctan,
+)
 
 MAN1 = """
 [grid]
@@ -153,6 +162,76 @@ def test_check_rejects_zero_eps0(tmp_path):
 def test_check_rejects_unknown_suite(tmp_path):
     text = CHECK.format(suite="wat", samples=10, extra="", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
+    # [check] tol is read by no suite, so it is an unknown key
+    text = CHECK.format(suite="derivatives", samples=10, extra="tol = 1e-6\n", out="{out}")
+    assert main(["check", _cfg(tmp_path, text, name="tol.cfg")]) == 2
+
+
+def _scalar_derivative_rows(samples, rng):
+    """The derivative suite with one pencil solve per stencil matrix."""
+    rows = []
+    for n in (2, 3, 4):
+        worst_first = worst_second = 0.0
+        failures = 0
+        for _ in range(samples):
+            lam = np.sort(rng.uniform(-2.0, 2.5, n))[::-1]
+            lam += np.arange(n)[::-1] * 0.5
+            mat = np.diag(lam)
+            h = symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            eps1, eps2 = 1e-5, 1e-4
+
+            def evals(m):
+                return eig_pair(np.eye(n), m).lambdas
+
+            def theta_of(m):
+                return theta_arctan(evals(m))
+
+            d1 = (evals(mat + eps1 * h) - evals(mat - eps1 * h)) / (2 * eps1)
+            first, second = eigenvalue_derivatives(mat)
+            p1 = np.einsum("ipq,pq->i", first.astype(complex), h).real
+            e1 = np.max(np.abs(d1 - p1)) / max(1.0, np.max(np.abs(p1)))
+            d2 = (evals(mat + eps2 * h) - 2 * evals(mat) + evals(mat - eps2 * h)) / eps2**2
+            p2 = np.einsum("ipqrs,pq,rs->i", second, h, h).real
+            e2 = np.max(np.abs(d2 - p2)) / max(1.0, np.max(np.abs(p2)))
+
+            sd = spectral_function_derivatives("arctan_sum", mat)
+            dt1 = (theta_of(mat + eps1 * h) - theta_of(mat - eps1 * h)) / (2 * eps1)
+            pt1 = np.einsum("ij,ij->", sd.first, h).real
+            et1 = abs(dt1 - pt1) / max(1.0, abs(pt1))
+            dt2 = (
+                theta_of(mat + eps2 * h) - 2 * theta_of(mat) + theta_of(mat - eps2 * h)
+            ) / eps2**2
+            pt2 = np.einsum("ijrs,ij,rs->", sd.second, h, h).real
+            et2 = abs(dt2 - pt2) / max(1.0, abs(pt2))
+
+            dfm = dF(eig_pair(np.eye(n), mat))
+            dd1 = (
+                lagrangian_angle_det(np.eye(n), mat + eps1 * h)
+                - lagrangian_angle_det(np.eye(n), mat - eps1 * h)
+            ) / (2 * eps1)
+            pd1 = float(np.trace(dfm @ h).real)
+            ed1 = abs(dd1 - pd1) / max(1.0, abs(pd1))
+
+            worst_first = max(worst_first, e1, et1, ed1)
+            worst_second = max(worst_second, e2, et2)
+            if max(e1, et1, ed1) > 1e-6 or max(e2, et2) > 1e-4:
+                failures += 1
+        rows.append(
+            {
+                "case": f"n={n}",
+                "samples": samples,
+                "failures": failures,
+                "worst": max(worst_first, worst_second),
+                "threshold": 1e-4,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [11, 12345])
+def test_derivative_suite_matches_scalar_loop(seed):
+    got = _suite_derivatives(40, np.random.default_rng(seed))
+    assert got == _scalar_derivative_rows(40, np.random.default_rng(seed))
 
 
 def test_surface_command(tmp_path, capsys):

@@ -21,7 +21,10 @@ from dhym.phase import (
     level_set_sample,
     level_set_sample_batch,
     dichotomy_kappa_estimate,
+    _haar_unitary,
+    _sample_level_set_tail,
 )
+from dhym.hermitian import symmetrize
 
 
 # --- PhaseSpec ----------------------------------------------------------------
@@ -131,11 +134,6 @@ def test_oracle_examples():
     assert csub_bounded_oracle([6.0, 6.0], 0.15) is True
 
 
-def test_oracle_rejects_small_budget():
-    with pytest.raises(PhaseOutOfRange):
-        csub_bounded_oracle([1.0, 1.0], np.pi / 2, t_max=10.0)
-
-
 def test_criterion_matches_oracle(rng):
     for n in (2, 3):
         for _ in range(150):
@@ -219,3 +217,43 @@ def test_kappa_degenerate_base_fails():
         dichotomy_kappa_estimate(
             np.diag([lam1, lam2]), spec, delta=0.05, radius=10.0, samples=1000
         )
+
+
+def _scalar_haar_unitary(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _scalar_kappa_reference(b_matrix, spec, radius, samples, seed):
+    """Per-sample loop of the kappa estimate: its value and every Haar frame."""
+    n = spec.n
+    b_matrix = symmetrize(np.asarray(b_matrix, dtype=complex))
+    rng = np.random.default_rng(seed)
+    pool = _sample_level_set_tail(spec, samples, rng)
+    frames = [_scalar_haar_unitary(n, rng) for _ in range(pool.shape[0])]
+    keep = np.linalg.norm(pool, axis=1) > radius
+    kappa_hat = np.inf
+    for lam, u in zip(pool[keep], [f for f, k in zip(frames, keep) if k]):
+        a = (u * lam) @ u.conj().T
+        eta_inv = np.linalg.inv(np.eye(n) + a @ a)
+        trace = float(np.trace(eta_inv).real)
+        k1 = float(np.trace(eta_inv @ (b_matrix - a)).real) / trace
+        k2 = float(np.min(np.diagonal(eta_inv).real)) / trace
+        kappa_hat = min(kappa_hat, max(k1, k2))
+    return float(kappa_hat), np.array(frames)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [3, 12345])
+def test_kappa_matches_scalar_loop(n, seed):
+    spec = PhaseSpec(n, (n - 1) * np.pi / 2 + 0.2, 0.2)
+    b = np.diag((n - 1) * np.linspace(1.0, 0.8, n)).astype(complex)
+    b[0, 1], b[1, 0] = 0.3 - 0.2j, 0.3 + 0.2j
+    kappa_ref, frames_ref = _scalar_kappa_reference(b, spec, 10.0, 2000, seed)
+    kappa = dichotomy_kappa_estimate(b, spec, 0.05, 10.0, samples=2000, seed=seed)
+    assert kappa == kappa_ref
+    rng = np.random.default_rng(seed)
+    _sample_level_set_tail(spec, 2000, rng)
+    frames = _haar_unitary(n, frames_ref.shape[0], rng)
+    assert np.array_equal(frames, frames_ref)
