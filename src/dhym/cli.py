@@ -166,6 +166,7 @@ def cmd_solve(args) -> int:
         ("min_phase", _fmt(final.min_phase)),
         ("max_phase", _fmt(final.max_phase)),
         ("newton_iterations", str(len(report.newton_trace))),
+        ("krylov_iters", str(sum(iters for iters, _ in report.krylov_trace))),
         ("continuity_stages", str(max(0, len(report.continuity_trace) - 1))),
         ("final_residual_sup", _fmt(final.residual_sup)),
     ]

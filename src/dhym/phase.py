@@ -110,8 +110,18 @@ def level_set_sample_batch(spec: PhaseSpec, free_batch) -> np.ndarray:
     free_batch has shape (batch, n-1); each valid row of the result is a
     sorted-descending point of the level set, matching level_set_sample.
     """
-    free = np.sort(np.asarray(free_batch, dtype=float), axis=1)[:, ::-1]
-    residual = spec.sigma - np.sum(np.arctan(free), axis=1)
+    free = np.asarray(free_batch, dtype=float)
+    if free.shape[1] == 2:
+        # closed-form order and angle sum of the common n = 3 rows
+        hi = np.maximum(free[:, 0], free[:, 1])
+        lo = np.minimum(free[:, 0], free[:, 1])
+        free = np.stack([hi, lo], axis=1)
+        angle_sum = np.arctan(hi) + np.arctan(lo)
+    else:
+        if free.shape[1] > 2:
+            free = np.sort(free, axis=1)[:, ::-1]
+        angle_sum = np.sum(np.arctan(free), axis=1)
+    residual = spec.sigma - angle_sum
     ok = np.abs(residual) < np.pi / 2
     last = np.tan(residual[ok])
     free = free[ok]

@@ -2,10 +2,15 @@
 
 Solves Theta(chi0 + i ddbar u) = target + c on a flat torus for the pair
 (u mean-zero, c real).  Each damped Newton step solves the linearized system
-with GMRES preconditioned by the exact inverse of the flat
-quarter-Laplacian; a backtracking line search keeps the pointwise phase above
-the supercritical floor (n-2) pi/2.  Constant targets are reached by an
-adaptive continuation from the initial phase field.
+with GMRES, right-preconditioned by the exact inverse of the flat
+quarter-Laplacian: the preconditioner is fused into the operator's
+transforms, so one Krylov iteration costs 1 + n^2 real transforms and gmres
+minimizes the true linear residual.  The inner tolerance follows an
+Eisenstat-Walker forcing schedule (loose while Newton is far from the root,
+krylov_tol once the residual is at or below FORCING_SWITCH).  A backtracking
+line search keeps the pointwise phase above the supercritical floor
+(n-2) pi/2.  Constant targets are reached by an adaptive continuation from
+the initial phase field.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .torus import (
 DT_MIN = 1.0 / 1024.0
 DT_MAX = 0.25
 FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
+ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
+FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
 
 
 @dataclass
@@ -102,6 +109,8 @@ class SolveReport:
     continuity_trace rows: (t, stage_constant, iterations).
     iterate_rows: flat per-iterate rows
     (iteration, residual_sup, min_phase, t, stage_constant) for trace export.
+    krylov_trace rows, one per Newton step: (gmres_iterations, eta), the
+    inner iterations run and the relative tolerance asked for.
     """
 
     u: ScalarField
@@ -113,6 +122,7 @@ class SolveReport:
     iterate_rows: list[tuple[int, float, float, float, float]] = field(
         default_factory=list
     )
+    krylov_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -164,9 +174,15 @@ def linearization_kernel(chi: HermitianFormField, prob: DhymProblem) -> np.ndarr
     return _kernel_planes(prob.omega, chi)
 
 
-def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
-    """tr(K i ddbar v): the kernel's weight planes times v's Hessian planes."""
-    planes = _hessian_planes(v_values, grid)
+def apply_linearized(
+    kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid, preconditioned: bool = False
+):
+    """tr(K i ddbar v): the kernel's weight planes times v's Hessian planes.
+
+    With preconditioned, v is replaced by inverse_laplacian_quarter(v) inside
+    the same transforms: this is the right-preconditioned Krylov operator.
+    """
+    planes = _hessian_planes(v_values, grid, preconditioned)
     out = kernel[0] * next(planes)
     for weight, plane in zip(kernel[1:], planes):
         out += weight * plane
@@ -209,52 +225,76 @@ def manufactured_problem(
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
 
+def _forcing_term(sup: float, prev_sup: float | None, cfg: SolverConfig) -> float:
+    """Relative gmres tolerance for a Newton step at residual sup.
+
+    Eisenstat-Walker choice 2, eta = min(0.1, 0.9 (sup / prev_sup)^2), with
+    0.1 on the first step of a solve, floored at krylov_tol and at
+    0.1 tol / sup so that the last step is not oversolved.  At or below
+    FORCING_SWITCH every step solves to krylov_tol, which keeps the final
+    iterates at round-off.
+    """
+    if sup <= FORCING_SWITCH:
+        return cfg.krylov_tol
+    eta = ETA_MAX if prev_sup is None else min(ETA_MAX, 0.9 * (sup / prev_sup) ** 2)
+    return max(eta, cfg.krylov_tol, 0.1 * cfg.tol / sup)
+
+
 def _solve_inner(
     kernel: np.ndarray,
     rhs: np.ndarray,
     grid: TorusGrid,
     cfg: SolverConfig,
-) -> np.ndarray:
-    """Solve P L du = rhs on the mean-zero subspace (P = mean projector)."""
+    eta: float,
+) -> tuple[np.ndarray, float, int]:
+    """Solve P L du = rhs on the mean-zero subspace (P = mean projector).
+
+    gmres runs on the right-preconditioned operator P L M^-1, with M the
+    flat quarter-Laplacian, so it minimizes the true residual of
+    du = M^-1 y.  Returns du, mean(L du) (for the constant shift) and the
+    gmres iteration count; raises LinearSolveStalled unless the residual
+    is at most eta (floored at 1e-14) times the rhs norm.
+    """
     npts = grid.num_points
     shape = grid.shape
 
     def project(x):
         return x - x.mean()
 
-    def matvec(x):
-        v = project(x.reshape(shape))
-        out = apply_linearized(kernel, v, grid)
+    def matvec(y):
+        out = apply_linearized(kernel, y.reshape(shape), grid, preconditioned=True)
         return project(out).ravel()
-
-    def precond(x):
-        v = x.reshape(shape)
-        return project(inverse_laplacian_quarter(v, grid)).ravel()
 
     b = project(rhs).ravel()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(shape)
+        return np.zeros(shape), 0.0, 0
 
+    pr_norms: list[float] = []  # one relative residual per gmres iteration
+    rtol = max(eta, 1e-14)
     restart = min(60, cfg.krylov_iters)
     cycles = max(1, cfg.krylov_iters // 60)
-    x, info = spla.gmres(
-        spla.LinearOperator((npts, npts), matvec=matvec),
+    y, info = spla.gmres(
+        spla.LinearOperator((npts, npts), matvec=matvec, dtype=float),
         b,
-        rtol=max(cfg.krylov_tol, 1e-14),
+        rtol=rtol,
         atol=0.0,
         restart=restart,
         maxiter=cycles,
-        M=spla.LinearOperator((npts, npts), matvec=precond),
+        callback=pr_norms.append,
+        callback_type="pr_norm",
     )
-    achieved = float(np.linalg.norm(matvec(x) - b))
-    if not np.isfinite(achieved) or achieved > max(10.0 * cfg.krylov_tol, 1e-9) * bnorm:
+    y = y.reshape(shape)
+    l_du = apply_linearized(kernel, y, grid, preconditioned=True)
+    achieved = float(np.linalg.norm(project(l_du).ravel() - b))
+    if not np.isfinite(achieved) or achieved > rtol * bnorm:
         raise LinearSolveStalled(
             f"gmres residual {achieved:.3e} vs rhs norm {bnorm:.3e} after at most "
             f"{restart * cycles} iterations ({cycles} cycles of {restart}, "
             f"gmres info {info})"
         )
-    return project(x.reshape(shape))
+    du = project(inverse_laplacian_quarter(y, grid))
+    return du, float(l_du.mean()), len(pr_norms)
 
 
 def newton_solve(
@@ -265,8 +305,9 @@ def newton_solve(
     """Damped Newton on the augmented unknown (u mean-zero, c).
 
     Each step solves the linearized system on the mean-zero subspace with the
-    flat-Laplacian preconditioner and recovers the constant shift from the
-    residual mean; the backtracking line search halves the step until the sup
+    flat-Laplacian preconditioner, to the relative tolerance that
+    _forcing_term picks, and recovers the constant shift from the residual
+    mean; the backtracking line search halves the step until the sup
     residual decreases and the minimum pointwise phase stays above the
     supercritical floor.
     """
@@ -288,15 +329,20 @@ def newton_solve(
         (state.residual_sup, 0.0, state.min_phase - floor)
     ]
     c_hist: list[float] = [c]
+    krylov_trace: list[tuple[int, float]] = []
+    prev_sup = None
 
     for _ in range(cfg.max_iters):
         if state.residual_sup <= cfg.tol:
             break
         res = state.residual.values
+        eta = _forcing_term(state.residual_sup, prev_sup, cfg)
         kernel = linearization_kernel(state.chi, prob)
-        du = _solve_inner(kernel, -res, grid, cfg)
-        dc = float(res.mean() + apply_linearized(kernel, du, grid).mean())
+        du, l_du_mean, krylov_iters = _solve_inner(kernel, -res, grid, cfg, eta)
+        dc = float(res.mean() + l_du_mean)
         del kernel  # the line search needs only (du, dc)
+        krylov_trace.append((krylov_iters, eta))
+        prev_sup = state.residual_sup
 
         step = 1.0
         floor_blocked = False
@@ -340,6 +386,7 @@ def newton_solve(
         converged=bool(state.residual_sup <= cfg.tol),
         newton_trace=trace,
         iterate_rows=rows,
+        krylov_trace=krylov_trace,
     )
 
 
@@ -367,6 +414,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     continuity_trace: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
     newton_trace: list[tuple[float, float, float]] = []
     iterate_rows: list[tuple[int, float, float, float, float]] = []
+    krylov_trace: list[tuple[int, float]] = []
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -392,6 +440,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         u, c = report.u, report.c
         iters = len(report.newton_trace) - 1
         newton_trace.extend(report.newton_trace)
+        krylov_trace.extend(report.krylov_trace)
         base = len(iterate_rows)
         iterate_rows.extend(
             (base + i, sup, phase, t_next, float(c))
@@ -411,4 +460,5 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         newton_trace=newton_trace,
         continuity_trace=continuity_trace,
         iterate_rows=iterate_rows,
+        krylov_trace=krylov_trace,
     )

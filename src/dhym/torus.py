@@ -214,7 +214,7 @@ def _diagonal_symbol(grid: TorusGrid, j: int) -> np.ndarray:
     return -0.25 * (kx**2 + ky**2)
 
 
-def _hessian_planes(values: np.ndarray, grid: TorusGrid):
+def _hessian_planes(values: np.ndarray, grid: TorusGrid, preconditioned: bool = False):
     """Yield the n^2 real Hessian planes of a real field, in plane order.
 
     The planes are u_{j jbar} for each j, then Re u_{j kbar} and
@@ -224,9 +224,16 @@ def _hessian_planes(values: np.ndarray, grid: TorusGrid):
     feeds every plane.  Off-diagonal symbols are products of
     first-derivative symbols (i k_a)(i k_b) whose Nyquist mode is zeroed, so
     every symbol is real and even and every plane is real.
+
+    With preconditioned, the planes are those of
+    inverse_laplacian_quarter(values): the half spectrum is divided by the
+    quarter-Laplacian symbol before the plane symbols apply, at no extra
+    transform.
     """
     N, n = grid.N, grid.n
     uhat = fftn(values)
+    if preconditioned:
+        _divide_laplacian_quarter(uhat, grid)
     for j in range(n):
         yield ifftn(_diagonal_symbol(grid, j) * uhat, grid.shape)
     for j in range(n):
@@ -276,15 +283,20 @@ def laplacian_quarter(u_values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return ifftn(_laplacian_quarter_symbol(grid) * fftn(u_values), grid.shape)
 
 
-def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Mean-zero solution of (1/4) Delta v = rhs (mean of rhs discarded)."""
-    fhat = fftn(rhs)
+def _divide_laplacian_quarter(fhat: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Divide a half spectrum in place by the (1/4) Delta symbol and clear
+    its zero mode, the one mode where the symbol vanishes."""
     mult = _laplacian_quarter_symbol(grid)
     flat_zero = (0,) * (2 * grid.n)
     mult[flat_zero] = 1.0
-    vhat = fhat / mult
-    vhat[flat_zero] = 0.0
-    return ifftn(vhat, grid.shape)
+    fhat /= mult
+    fhat[flat_zero] = 0.0
+    return fhat
+
+
+def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Mean-zero solution of (1/4) Delta v = rhs (mean of rhs discarded)."""
+    return ifftn(_divide_laplacian_quarter(fftn(rhs), grid), grid.shape)
 
 
 # ---------------------------------------------------------------------------

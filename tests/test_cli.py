@@ -80,6 +80,7 @@ def test_solve_manufactured_exit_zero(tmp_path):
     )
     assert report["converged"] == "true"
     assert float(report["residual_sup"]) <= 1e-8
+    assert int(report["krylov_iters"]) > 0
     with open(tmp_path / "out" / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and set(rows[0]) == {"iteration", "residual_sup", "min_phase", "t", "b_t"}

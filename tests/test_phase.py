@@ -72,6 +72,26 @@ def test_level_set_batch_matches_scalar(rng):
     assert np.max(np.abs(np.sort(batch, axis=0) - np.sort(singles, axis=0))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_level_set_batch_matches_row_sort(rng, n):
+    # reference: every row sorted descending, then summed, as for wide rows
+    spec = PhaseSpec(n, (n - 2) * np.pi / 2 + 0.2, 0.2)
+    free = np.tan(rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, (4000, n - 1)))
+    free[:500] = free[:500, :1]  # ties
+    free[500:600] = 0.0
+    free[600:700, 0] = -0.0
+    ordered = np.sort(free, axis=1)[:, ::-1]
+    residual = spec.sigma - np.sum(np.arctan(ordered), axis=1)
+    ok = np.abs(residual) < np.pi / 2
+    last = np.tan(residual[ok])
+    ordered = ordered[ok]
+    keep = last <= ordered[:, -1]
+    expect = np.concatenate([ordered[keep], last[keep, None]], axis=1)
+    got = level_set_sample_batch(spec, free)
+    assert expect.shape[0] > 100
+    assert np.array_equal(got, expect)
+
+
 # --- level-set arithmetic -------------------------------------------------------
 
 

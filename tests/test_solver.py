@@ -241,6 +241,89 @@ def test_stalled_message_reports_gmres_cap(monkeypatch, krylov_iters, cap, cycle
         newton_solve(prob, cfg=SolverConfig(krylov_iters=krylov_iters))
 
 
+def _manufactured_n1():
+    g = _grid1(64)
+    ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
+    return manufactured_problem(
+        ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
+    )
+
+
+def test_forcing_tightens_to_krylov_tol_below_switch(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    import dhym.solver as solver
+
+    rtols = []
+    gmres = spla.gmres
+
+    def spy(A, b, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", spy)
+    cfg = SolverConfig(tol=1e-11)
+    rep = newton_solve(_manufactured_n1(), cfg=cfg)
+    assert rep.converged
+    sups = [sup for sup, _, _ in rep.newton_trace[: len(rtols)]]
+    assert len(rtols) == len(rep.krylov_trace) == len(rep.newton_trace) - 1
+    assert rtols == [eta for _, eta in rep.krylov_trace]
+    loose = [r for r, sup in zip(rtols, sups) if sup > solver.FORCING_SWITCH]
+    tight = [r for r, sup in zip(rtols, sups) if sup <= solver.FORCING_SWITCH]
+    assert loose and tight
+    assert all(r > cfg.krylov_tol for r in loose)
+    assert tight == [cfg.krylov_tol] * len(tight)
+
+
+def test_loose_step_accepts_residual_within_eta(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    gmres = spla.gmres
+    reached = []
+
+    def meets_eta_only(A, b, **kwargs):
+        # the near-exact solution, shrunk so its relative residual is rtol / 2
+        x, info = gmres(A, b, **dict(kwargs, rtol=1e-14))
+        x = (1.0 - 0.5 * kwargs["rtol"]) * x
+        reached.append(np.linalg.norm(A.matvec(x) - b) / np.linalg.norm(b))
+        return x, info
+
+    monkeypatch.setattr(spla, "gmres", meets_eta_only)
+    cfg = SolverConfig(tol=1e-11)
+    rep = newton_solve(_manufactured_n1(), cfg=cfg)
+    assert rep.converged
+    assert reached[0] > 1e3 * cfg.krylov_tol
+    assert reached[0] <= rep.krylov_trace[0][1]
+
+
+def test_krylov_trace_counts_operator_applications(monkeypatch):
+    import dhym.solver as solver
+
+    applies = []
+    apply_orig = solver.apply_linearized
+
+    def counting_apply(kernel, v_values, grid, **kw):
+        applies.append(kw.get("preconditioned", False))
+        return apply_orig(kernel, v_values, grid, **kw)
+
+    monkeypatch.setattr(solver, "apply_linearized", counting_apply)
+    g = TorusGrid(2, 8)
+    ustar = ScalarField(
+        g,
+        0.1 * np.cos(g.axis_coordinate("x1")) + 0.05 * np.sin(g.axis_coordinate("y2")),
+    )
+    prob = manufactured_problem(
+        ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
+    )
+    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.converged and rep.krylov_trace
+    iters = [k for k, _ in rep.krylov_trace]
+    assert all(0 < k < 60 for k in iters)  # one restart cycle per step
+    # each step adds its cycle-end residual and the final true-residual apply
+    assert all(applies)
+    assert sum(iters) == len(applies) - 2 * len(iters)
+
+
 def test_newton_iteration_budget():
     g = _grid1()
     ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
@@ -285,9 +368,9 @@ def test_newton_evaluates_each_trial_state_once(monkeypatch):
         counts["i_ddbar"] += 1
         return i_ddbar_orig(u)
 
-    def counting_apply(kernel, v_values, grid):
+    def counting_apply(kernel, v_values, grid, **kw):
         counts["matvec"] += 1
-        return apply_orig(kernel, v_values, grid)
+        return apply_orig(kernel, v_values, grid, **kw)
 
     g = TorusGrid(2, 8)
     ustar = ScalarField(

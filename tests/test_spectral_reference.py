@@ -1,5 +1,5 @@
 """Real-to-complex spectral path against the full-spectrum formula, and its
-transform counts.
+transform and operator counts.
 
 The reference below is the complex-to-complex form of the Hessian symbols:
 entry (j, k) of i ddbar is the inverse full transform of one complex symbol
@@ -151,7 +151,54 @@ def test_transform_counts(n, transform_counts):
         return transform_counts["forward"], transform_counts["inverse"]
 
     assert transforms(lambda: solver.apply_linearized(kernel, v, g)) == (1, n * n)
+    assert transforms(
+        lambda: solver.apply_linearized(kernel, v, g, preconditioned=True)
+    ) == (1, n * n)
     assert transforms(lambda: inverse_laplacian_quarter(v, g)) == (1, 1)
     assert transforms(
         lambda: solver.evaluate_state(ScalarField(g, v), 0.0, prob)
     ) == (1, n * n)
+
+
+@pytest.mark.parametrize("n,N", GRIDS)
+def test_preconditioned_apply_matches_inverse_then_apply(n, N):
+    g = TorusGrid(n, N)
+    prob = _random_problem(g, 11 * N + n)
+    u = _field(g, 400 + N + n) / N**2
+    chi = solver.evaluate_state(ScalarField(g, u), 0.0, prob).chi
+    kernel = solver.linearization_kernel(chi, prob)
+    y = _field(g, 500 + N + n)
+    got = solver.apply_linearized(kernel, y, g, preconditioned=True)
+    ref = solver.apply_linearized(kernel, inverse_laplacian_quarter(y, g), g)
+    assert _rel_err(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_inner_operator_and_preconditioner_counts(n, monkeypatch):
+    g = TorusGrid(n, 8)
+    prob = _random_problem(g, 60 + n)
+    state = solver.evaluate_state(ScalarField(g, np.zeros(g.shape)), 0.0, prob)
+    kernel = solver.linearization_kernel(state.chi, prob)
+    counts = {"operator": 0, "inverse": 0}
+    apply, inverse = solver.apply_linearized, solver.inverse_laplacian_quarter
+
+    def counting_apply(kernel, v, grid, preconditioned=False):
+        assert preconditioned
+        counts["operator"] += 1
+        return apply(kernel, v, grid, preconditioned=preconditioned)
+
+    def counting_inverse(rhs, grid):
+        counts["inverse"] += 1
+        return inverse(rhs, grid)
+
+    monkeypatch.setattr(solver, "apply_linearized", counting_apply)
+    monkeypatch.setattr(solver, "inverse_laplacian_quarter", counting_inverse)
+    du, l_du_mean, iters = solver._solve_inner(
+        kernel, -state.residual.values, g, solver.SolverConfig(), 1e-12
+    )
+    # one restart cycle of 60: k iterations, the cycle-end residual, then the
+    # one apply that gives the true residual and mean(L du); no dtype probe
+    assert 0 < iters < 60
+    assert counts == {"operator": iters + 2, "inverse": 1}
+    ref = apply(kernel, du, g)
+    assert abs(l_du_mean - ref.mean()) <= 1e-12 * np.max(np.abs(ref))
