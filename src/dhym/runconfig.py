@@ -123,9 +123,6 @@ def parse_grid(cfg: RunConfig) -> TorusGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
-_AXES = ("x1", "y1", "x2", "y2")
-
-
 def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
     """Build a scalar field from a term-list specification."""
     spec = spec.strip()
@@ -161,7 +158,7 @@ def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
             axis = tokens[3]
         else:
             raise ConfigError(f"bad term {term!r}")
-        if axis not in _AXES[: 2 * grid.n]:
+        if axis not in grid.axis_names:
             raise ConfigError(f"axis {axis!r} not valid for n={grid.n}")
         coord = grid.axis_coordinate(axis)
         values = values + amp * (np.cos if fn == "cos" else np.sin)(freq * coord)

@@ -4,13 +4,13 @@ Solves Theta(chi0 + i ddbar u) = target + c on a flat torus for the pair
 (u mean-zero, c real).  Each damped Newton step solves the linearized system
 with GMRES, right-preconditioned by the exact inverse of the flat
 quarter-Laplacian: the preconditioner is fused into the operator's
-transforms, so one Krylov iteration costs 1 + n^2 real transforms and gmres
-minimizes the true linear residual.  The inner tolerance follows an
-Eisenstat-Walker forcing schedule (loose while Newton is far from the root,
-krylov_tol once the residual is at or below FORCING_SWITCH).  A backtracking
-line search keeps the pointwise phase above the supercritical floor
-(n-2) pi/2.  Constant targets are reached by an adaptive continuation from
-the initial phase field.
+transforms, so one Krylov iteration costs 1 + n^2 real transforms, gmres
+minimizes the true linear residual and its own last product settles the
+step.  The inner tolerance follows an Eisenstat-Walker forcing schedule
+(loose while Newton is far from the root, krylov_tol once the residual is
+at or below FORCING_SWITCH).  A backtracking line search keeps the pointwise
+phase above the supercritical floor (n-2) pi/2.  Constant targets are
+reached by an adaptive continuation from the initial phase field.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ DT_MAX = 0.25
 FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
 FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
+LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
 
 
 @dataclass
@@ -98,7 +99,6 @@ class SolverConfig:
     max_iters: int = 40
     krylov_tol: float = 1e-12
     krylov_iters: int = 400
-    line_search_halvings: int = 40
 
 
 @dataclass
@@ -251,9 +251,10 @@ def _solve_inner(
 
     gmres runs on the right-preconditioned operator P L M^-1, with M the
     flat quarter-Laplacian, so it minimizes the true residual of
-    du = M^-1 y.  Returns du, mean(L du) (for the constant shift) and the
-    gmres iteration count; raises LinearSolveStalled unless the residual
-    is at most eta (floored at 1e-14) times the rhs norm.
+    du = M^-1 y; its last product, on the returned y, also gives mean(L du).
+    Returns du, mean(L du) (for the constant shift) and the gmres iteration
+    count; raises LinearSolveStalled unless the residual is at most eta
+    (floored at 1e-14) times the rhs norm.
     """
     npts = grid.num_points
     shape = grid.shape
@@ -261,9 +262,13 @@ def _solve_inner(
     def project(x):
         return x - x.mean()
 
+    last_y = last_mean = None  # gmres's latest operator input and its mean(L du)
+
     def matvec(y):
+        nonlocal last_y, last_mean
         out = apply_linearized(kernel, y.reshape(shape), grid, preconditioned=True)
-        return project(out).ravel()
+        last_y, last_mean = y, out.mean()
+        return (out - last_mean).ravel()
 
     b = project(rhs).ravel()
     bnorm = float(np.linalg.norm(b))
@@ -284,17 +289,16 @@ def _solve_inner(
         callback=pr_norms.append,
         callback_type="pr_norm",
     )
-    y = y.reshape(shape)
-    l_du = apply_linearized(kernel, y, grid, preconditioned=True)
-    achieved = float(np.linalg.norm(project(l_du).ravel() - b))
-    if not np.isfinite(achieved) or achieved > rtol * bnorm:
+    if info != 0:
         raise LinearSolveStalled(
-            f"gmres residual {achieved:.3e} vs rhs norm {bnorm:.3e} after at most "
+            f"gmres missed rtol {rtol:.3e} on rhs norm {bnorm:.3e} after at most "
             f"{restart * cycles} iterations ({cycles} cycles of {restart}, "
             f"gmres info {info})"
         )
-    du = project(inverse_laplacian_quarter(y, grid))
-    return du, float(l_du.mean()), len(pr_norms)
+    if y is not last_y:
+        raise RuntimeError("gmres returned an iterate its last operator call did not see")
+    du = project(inverse_laplacian_quarter(y.reshape(shape), grid))
+    return du, float(last_mean), len(pr_norms)
 
 
 def newton_solve(
@@ -328,7 +332,7 @@ def newton_solve(
     trace: list[tuple[float, float, float]] = [
         (state.residual_sup, 0.0, state.min_phase - floor)
     ]
-    c_hist: list[float] = [c]
+    rows = [(0, state.residual_sup, state.min_phase, 1.0, c)]
     krylov_trace: list[tuple[int, float]] = []
     prev_sup = None
 
@@ -346,7 +350,7 @@ def newton_solve(
 
         step = 1.0
         floor_blocked = False
-        for _ in range(cfg.line_search_halvings):
+        for _ in range(LINE_SEARCH_HALVINGS):
             trial_u = u_vals + step * du
             trial_u -= trial_u.mean()
             trial_c = c + step * dc
@@ -354,7 +358,7 @@ def newton_solve(
             if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
                 u_vals, c, state = trial_u, trial_c, trial
                 trace.append((state.residual_sup, step, state.min_phase - floor))
-                c_hist.append(c)
+                rows.append((len(rows), state.residual_sup, state.min_phase, 1.0, c))
                 break
             floor_blocked = trial.min_phase <= floor
             step *= 0.5
@@ -375,10 +379,6 @@ def newton_solve(
             )
 
     u_vals = u_vals - u_vals.mean()
-    rows = [
-        (i, sup, margin + floor, 1.0, float(ci))
-        for i, ((sup, _, margin), ci) in enumerate(zip(trace, c_hist))
-    ]
     return SolveReport(
         u=ScalarField(grid, u_vals),
         c=float(c),

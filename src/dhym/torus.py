@@ -89,12 +89,15 @@ class TorusGrid:
     def cell_volume(self) -> float:
         return (TWO_PI / self.N) ** (2 * self.n)
 
+    @property
+    def axis_names(self) -> tuple[str, ...]:
+        return tuple(f"{c}{j + 1}" for j in range(self.n) for c in ("x", "y"))
+
     def axis_coordinate(self, name: str) -> np.ndarray:
-        """Coordinate array broadcast to the grid shape; name in x1,y1,x2,y2."""
-        names = [f"{c}{j + 1}" for j in range(self.n) for c in ("x", "y")]
-        if name not in names:
-            raise DimensionMismatch(f"unknown axis {name!r}, have {names}")
-        axis = names.index(name)
+        """Coordinate array broadcast to the grid shape; name in axis_names."""
+        if name not in self.axis_names:
+            raise DimensionMismatch(f"unknown axis {name!r}, have {list(self.axis_names)}")
+        axis = self.axis_names.index(name)
         coords = np.arange(self.N) * (TWO_PI / self.N)
         shape = [1] * (2 * self.n)
         shape[axis] = self.N

@@ -342,6 +342,12 @@ def test_solve_krylov_key_accepts_only_gmres(tmp_path, capsys):
     assert "gmres" in capsys.readouterr().err
 
 
+def test_solve_rejects_krylov_tol_of_one(tmp_path, capsys):
+    loose = MAN1.replace("tol = 1e-11", "tol = 1e-11\nkrylov_tol = 1")
+    assert main(["solve", _cfg(tmp_path, loose)]) == 2
+    assert "krylov_tol below 1" in capsys.readouterr().err
+
+
 def test_threads_env_accepted(tmp_path, monkeypatch):
     from dhym.errors import ConfigError
     from dhym.torus import ScalarField, TorusGrid, _fft_workers, i_ddbar

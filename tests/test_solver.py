@@ -319,9 +319,49 @@ def test_krylov_trace_counts_operator_applications(monkeypatch):
     assert rep.converged and rep.krylov_trace
     iters = [k for k, _ in rep.krylov_trace]
     assert all(0 < k < 60 for k in iters)  # one restart cycle per step
-    # each step adds its cycle-end residual and the final true-residual apply
+    # each step adds the cycle-end residual of its one restart cycle
     assert all(applies)
-    assert sum(iters) == len(applies) - 2 * len(iters)
+    assert sum(iters) == len(applies) - len(iters)
+
+
+def test_solve_inner_rejects_iterate_the_operator_never_saw(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    gmres = spla.gmres
+
+    def copied_iterate(A, b, **kwargs):
+        # a converged solve whose iterate comes back as a copy: mean(L du)
+        # was not computed from the returned array
+        x, info = gmres(A, b, **kwargs)
+        assert info == 0
+        return x.copy(), info
+
+    monkeypatch.setattr(spla, "gmres", copied_iterate)
+    with pytest.raises(RuntimeError, match="last operator call"):
+        newton_solve(_manufactured_n1())
+
+
+def test_iterate_rows_hold_the_computed_min_phase(monkeypatch):
+    import dhym.solver as solver
+
+    phases = []
+    evaluate = solver.evaluate_state
+
+    def recording(u, c, prob):
+        state = evaluate(u, c, prob)
+        phases.append(state.min_phase)
+        return state
+
+    monkeypatch.setattr(solver, "evaluate_state", recording)
+    g = _grid1()
+    ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
+    prob = manufactured_problem(
+        ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
+    )
+    rep = newton_solve(prob)
+    assert rep.converged and len(rep.iterate_rows) > 1
+    # n=1 puts the floor at -pi/2, where margin + floor would not round-trip
+    assert all(row[2] in phases for row in rep.iterate_rows)
 
 
 def test_newton_iteration_budget():
@@ -345,9 +385,12 @@ def test_continuity_path_stalls_when_stages_cannot_converge():
         continuity_solve(prob, cfg=SolverConfig(tol=1e-16, max_iters=2))
 
 
-def test_newton_floor_blocked_step_raises_phase_floor():
+def test_newton_floor_blocked_step_raises_phase_floor(monkeypatch):
+    import dhym.solver as solver
+
     # a full Newton step of this problem crosses the phase floor, and with
     # one trial allowed the line search cannot shorten it
+    monkeypatch.setattr(solver, "LINE_SEARCH_HALVINGS", 1)
     g = TorusGrid(2, 8)
     x1, y1, x2 = (g.axis_coordinate(a) for a in ("x1", "y1", "x2"))
     ustar = ScalarField(g, 1.2 * np.cos(x1) * np.cos(x2) + 0.36 * np.sin(y1))
@@ -355,7 +398,7 @@ def test_newton_floor_blocked_step_raises_phase_floor():
         ustar, identity_metric(g), constant_form_field(g, 0.35 * np.eye(2)), eps0=1e-3
     )
     with pytest.raises(PhaseFloorViolated):
-        newton_solve(prob, cfg=SolverConfig(line_search_halvings=1))
+        newton_solve(prob)
 
 
 def test_newton_evaluates_each_trial_state_once(monkeypatch):

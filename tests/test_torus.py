@@ -46,6 +46,21 @@ def test_grid_validation():
         TorusGrid(1, 128)
 
 
+def test_axis_names_follow_array_axes():
+    from dhym.errors import ConfigError
+    from dhym.runconfig import parse_scalar_spec
+
+    g1, g2 = TorusGrid(1, 8), TorusGrid(2, 8)
+    assert g1.axis_names == ("x1", "y1")
+    assert g2.axis_names == ("x1", "y1", "x2", "y2")
+    for axis, name in enumerate(g2.axis_names):
+        assert np.all(np.diff(g2.axis_coordinate(name), axis=axis) > 0)
+    with pytest.raises(DimensionMismatch, match=r"^unknown axis 'x2', have \['x1', 'y1'\]$"):
+        g1.axis_coordinate("x2")
+    with pytest.raises(ConfigError, match=r"^axis 'x2' not valid for n=1$"):
+        parse_scalar_spec("0.1 cos x2", g1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_form_fields_reject_non_finite(bad):
     g = TorusGrid(1, 8)
