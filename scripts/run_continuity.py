@@ -32,6 +32,7 @@ def main():
     for t, c_t, iters in report.continuity_trace:
         print(f"{t:>8.4f} {c_t:>16.3e} {iters:>6}")
     final = evaluate_state(report.u, report.c, prob)
+    print(f"gmres iterations = {sum(it.krylov_iters for it in report.iterates)}")
     print(f"converged = {report.converged}")
     print(f"|c1| = {abs(report.c):.3e}")
     print(f"final phase spread = {final.max_phase - final.min_phase:.3e}")

@@ -45,7 +45,7 @@ def main():
         drop = f"  (x{prev / err:,.0f} drop)" if prev else ""
         print(
             f"{big_n:>4} {report.residual_sup:>14.3e} {err:>14.3e} "
-            f"{len(report.newton_trace) - 1:>6}{drop}"
+            f"{len(report.iterates) - 1:>6}{drop}"
         )
         prev = err
 

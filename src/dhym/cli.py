@@ -74,18 +74,15 @@ def _fmt(x: float) -> str:
 
 
 def _build_solver_config(cfg: RunConfig) -> SolverConfig:
-    sc = SolverConfig()
-    sc.tol = cfg.get_float("solver", "tol", sc.tol)
     krylov = cfg.get("solver", "krylov", "gmres")
     if krylov != "gmres":
         raise ConfigError(f"unknown krylov method {krylov!r}; only gmres is supported")
-    sc.krylov_tol = cfg.get_float("solver", "krylov_tol", sc.krylov_tol)
-    sc.krylov_iters = cfg.get_int("solver", "krylov_iters", sc.krylov_iters)
-    sc.max_iters = cfg.get_int("solver", "max_iters", sc.max_iters)
-    # gmres would accept the zero iterate at a relative tolerance of 1 or more
-    if sc.tol <= 0 or not 0 < sc.krylov_tol < 1 or sc.max_iters < 1 or sc.krylov_iters < 1:
-        raise ConfigError("solver tolerances must be positive, with krylov_tol below 1")
-    return sc
+    return SolverConfig(
+        tol=cfg.get_float("solver", "tol", SolverConfig.tol),
+        max_iters=cfg.get_int("solver", "max_iters", SolverConfig.max_iters),
+        krylov_tol=cfg.get_float("solver", "krylov_tol", SolverConfig.krylov_tol),
+        krylov_iters=cfg.get_int("solver", "krylov_iters", SolverConfig.krylov_iters),
+    )
 
 
 def _build_problem(cfg: RunConfig) -> DhymProblem:
@@ -165,8 +162,8 @@ def cmd_solve(args) -> int:
         ("mean_u", _fmt(report.u.values.mean())),
         ("min_phase", _fmt(final.min_phase)),
         ("max_phase", _fmt(final.max_phase)),
-        ("newton_iterations", str(len(report.newton_trace))),
-        ("krylov_iters", str(sum(iters for iters, _ in report.krylov_trace))),
+        ("newton_iterations", str(len(report.iterates))),
+        ("krylov_iters", str(sum(it.krylov_iters for it in report.iterates))),
         ("continuity_stages", str(max(0, len(report.continuity_trace) - 1))),
         ("final_residual_sup", _fmt(final.residual_sup)),
     ]
@@ -174,8 +171,8 @@ def cmd_solve(args) -> int:
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual_sup", "min_phase", "t", "b_t"])
-        for row in report.iterate_rows:
-            writer.writerow([row[0], _fmt(row[1]), _fmt(row[2]), _fmt(row[3]), _fmt(row[4])])
+        for i, it in enumerate(report.iterates):
+            writer.writerow([i, _fmt(it.residual_sup), _fmt(it.min_phase), _fmt(it.t), _fmt(it.c)])
     print(f"converged={report.converged} residual_sup={report.residual_sup:.3e} "
           f"c={report.c:.3e} artifacts in {out_dir}")
     return EXIT_OK if report.converged else EXIT_SOLVER

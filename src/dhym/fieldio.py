@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .torus import HermitianFormField, ScalarField, TorusGrid
 
 MAGIC = b"DHYM"
@@ -48,7 +48,10 @@ def read_field(path) -> ScalarField | HermitianFormField:
             raise ConfigError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        grid = TorusGrid(n=n, N=big_n)
+        try:
+            grid = TorusGrid(n=n, N=big_n)
+        except DimensionMismatch as exc:
+            raise ConfigError(f"{path}: unsupported grid: {exc}") from exc
         raw = fh.read()
     if kind == KIND_SCALAR:
         want = grid.num_points * 8

@@ -52,7 +52,7 @@ class PhaseSpec:
         lo = (self.n - 2) * np.pi / 2
         hi = self.n * np.pi / 2
         _check_band(self.n, self.sigma, lo, hi, "sigma")
-        if self.eps0 <= 0.0:
+        if not self.eps0 > 0.0:  # so that NaN fails too
             raise PhaseOutOfRange(f"eps0={self.eps0:.6g} must be positive")
         if self.sigma - lo < self.eps0 - 1e-15:
             raise PhaseOutOfRange(

@@ -76,9 +76,12 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+        return value
 
     def get_int(self, section: str, key: str, default=None) -> int | None:
         raw = self.get(section, key)

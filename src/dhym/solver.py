@@ -15,12 +15,13 @@ reached by an adaptive continuation from the initial phase field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     LinearSolveStalled,
     MaxItersExceeded,
@@ -66,7 +67,7 @@ class DhymProblem:
     eps0: float
 
     def __post_init__(self):
-        if self.eps0 <= 0.0:
+        if not self.eps0 > 0.0:  # so that NaN fails too
             raise PhaseOutOfRange(f"eps0={self.eps0:.6g} must be positive")
         for f in (self.omega, self.chi0):
             if f.grid != self.grid:
@@ -77,7 +78,7 @@ class DhymProblem:
         lo = self.phase_floor + self.eps0
         hi = self.grid.n * np.pi / 2
         vals = self.target_values()
-        if vals.min() < lo - 1e-12 or vals.max() >= hi:
+        if not (vals.min() >= lo - 1e-12 and vals.max() < hi):
             raise PhaseOutOfRange(
                 f"target range [{vals.min():.6g}, {vals.max():.6g}] outside "
                 f"[{lo:.6g}, {hi:.6g})"
@@ -100,29 +101,53 @@ class SolverConfig:
     krylov_tol: float = 1e-12
     krylov_iters: int = 400
 
+    def __post_init__(self):
+        # positive comparisons, so that NaN fails; gmres would accept the
+        # zero iterate at a relative tolerance of 1 or more
+        if not (
+            self.tol > 0
+            and 0 < self.krylov_tol < 1
+            and self.max_iters >= 1
+            and self.krylov_iters >= 1
+        ):
+            raise ConfigError("solver tolerances must be positive, with krylov_tol below 1")
+
+
+@dataclass(frozen=True)
+class Iterate:
+    """One accepted Newton state and the step that reached it.
+
+    residual_sup and min_phase belong to the state; step is the accepted
+    line-search length, krylov_iters the gmres iterations run and eta the
+    relative tolerance asked for (all 0 for a solve's starting state).  t is
+    the continuation time and c the stage constant: 1 and the state's own c
+    in a Newton solve, the stage's t and final c in a continuation.
+    """
+
+    residual_sup: float
+    min_phase: float
+    step: float
+    krylov_iters: int
+    eta: float
+    t: float
+    c: float
+
 
 @dataclass
 class SolveReport:
     """Solution state with convergence diagnostics.
 
-    newton_trace rows: (residual_sup, step_length, min_phase_margin).
+    iterates: one record per accepted state, each solve's (or continuation
+    stage's) starting state included.
     continuity_trace rows: (t, stage_constant, iterations).
-    iterate_rows: flat per-iterate rows
-    (iteration, residual_sup, min_phase, t, stage_constant) for trace export.
-    krylov_trace rows, one per Newton step: (gmres_iterations, eta), the
-    inner iterations run and the relative tolerance asked for.
     """
 
     u: ScalarField
     c: float
     residual_sup: float
     converged: bool
-    newton_trace: list[tuple[float, float, float]] = field(default_factory=list)
+    iterates: list[Iterate] = field(default_factory=list)
     continuity_trace: list[tuple[float, float, int]] = field(default_factory=list)
-    iterate_rows: list[tuple[int, float, float, float, float]] = field(
-        default_factory=list
-    )
-    krylov_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -329,24 +354,18 @@ def newton_solve(
             "initial state is not supercritical for this problem"
         )
 
-    trace: list[tuple[float, float, float]] = [
-        (state.residual_sup, 0.0, state.min_phase - floor)
-    ]
-    rows = [(0, state.residual_sup, state.min_phase, 1.0, c)]
-    krylov_trace: list[tuple[int, float]] = []
-    prev_sup = None
+    iterates = [Iterate(state.residual_sup, state.min_phase, 0.0, 0, 0.0, 1.0, c)]
 
     for _ in range(cfg.max_iters):
         if state.residual_sup <= cfg.tol:
             break
         res = state.residual.values
+        prev_sup = iterates[-2].residual_sup if len(iterates) > 1 else None
         eta = _forcing_term(state.residual_sup, prev_sup, cfg)
         kernel = linearization_kernel(state.chi, prob)
         du, l_du_mean, krylov_iters = _solve_inner(kernel, -res, grid, cfg, eta)
         dc = float(res.mean() + l_du_mean)
         del kernel  # the line search needs only (du, dc)
-        krylov_trace.append((krylov_iters, eta))
-        prev_sup = state.residual_sup
 
         step = 1.0
         floor_blocked = False
@@ -357,8 +376,9 @@ def newton_solve(
             trial = evaluate_state(ScalarField(grid, trial_u), trial_c, prob)
             if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
                 u_vals, c, state = trial_u, trial_c, trial
-                trace.append((state.residual_sup, step, state.min_phase - floor))
-                rows.append((len(rows), state.residual_sup, state.min_phase, 1.0, c))
+                iterates.append(Iterate(
+                    state.residual_sup, state.min_phase, step, krylov_iters, eta, 1.0, c
+                ))
                 break
             floor_blocked = trial.min_phase <= floor
             step *= 0.5
@@ -384,9 +404,7 @@ def newton_solve(
         c=float(c),
         residual_sup=state.residual_sup,
         converged=bool(state.residual_sup <= cfg.tol),
-        newton_trace=trace,
-        iterate_rows=rows,
-        krylov_trace=krylov_trace,
+        iterates=iterates,
     )
 
 
@@ -412,22 +430,12 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     t = 0.0
     dt = DT_MAX
     continuity_trace: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
-    newton_trace: list[tuple[float, float, float]] = []
-    iterate_rows: list[tuple[int, float, float, float, float]] = []
-    krylov_trace: list[tuple[int, float]] = []
+    iterates: list[Iterate] = []
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        stage_target = ScalarField(
-            grid, (1.0 - t_next) * theta0 + t_next * h_hat
-        )
-        stage_prob = DhymProblem(
-            grid=grid,
-            omega=prob.omega,
-            chi0=prob.chi0,
-            target=stage_target,
-            eps0=prob.eps0,
-        )
+        stage_target = ScalarField(grid, (1.0 - t_next) * theta0 + t_next * h_hat)
+        stage_prob = replace(prob, target=stage_target)
         try:
             report = newton_solve(stage_prob, u0=u, cfg=cfg)
         except (MaxItersExceeded, LinearSolveStalled, PhaseFloorViolated):
@@ -438,27 +446,12 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
                 )
             continue
         u, c = report.u, report.c
-        iters = len(report.newton_trace) - 1
-        newton_trace.extend(report.newton_trace)
-        krylov_trace.extend(report.krylov_trace)
-        base = len(iterate_rows)
-        iterate_rows.extend(
-            (base + i, sup, phase, t_next, float(c))
-            for i, (_, sup, phase, _, _) in enumerate(report.iterate_rows)
-        )
+        iters = len(report.iterates) - 1
+        iterates.extend(replace(it, t=t_next, c=c) for it in report.iterates)
         continuity_trace.append((t_next, c, iters))
         t = t_next
         if iters <= FAST_STAGE_ITERS:
             dt = min(2.0 * dt, DT_MAX)
 
     # the loop ends only after a successful stage, so report is the last one
-    return SolveReport(
-        u=report.u,
-        c=report.c,
-        residual_sup=report.residual_sup,
-        converged=report.converged,
-        newton_trace=newton_trace,
-        continuity_trace=continuity_trace,
-        iterate_rows=iterate_rows,
-        krylov_trace=krylov_trace,
-    )
+    return replace(report, iterates=iterates, continuity_trace=continuity_trace)

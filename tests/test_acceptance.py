@@ -333,7 +333,7 @@ def test_criterion_07_continuity_method():
     theta = theta_field(omega, chi).values
     spread = float(theta.max() - theta.min())
     floor = prob.phase_floor
-    min_phases_ok = all(row[2] > floor for row in rep.iterate_rows)
+    min_phases_ok = all(it.min_phase > floor for it in rep.iterates)
 
     # dominating-target path: every stage constant must be non-positive
     h_dom = float(np.arctan(0.7)) + 0.05

@@ -111,6 +111,41 @@ def test_solve_rejects_unknown_key(tmp_path):
     assert rc == 2
 
 
+def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    gmres = spla.gmres
+    per_step = []
+
+    def counting(A, b, **kwargs):
+        # gmres reports one pr_norm per iteration to the solver's callback
+        seen = []
+        callback = kwargs["callback"]
+
+        def both(pr_norm):
+            seen.append(pr_norm)
+            callback(pr_norm)
+
+        out = gmres(A, b, **dict(kwargs, callback=both))
+        per_step.append(len(seen))
+        return out
+
+    monkeypatch.setattr(spla, "gmres", counting)
+    assert main(["solve", _cfg(tmp_path, CONT1)]) == 0
+    report = dict(
+        ln.split(" = ") for ln in _strip_timestamp(tmp_path / "out" / "report.txt")
+    )
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    stages = int(report["continuity_stages"])
+    assert stages > 1
+    assert [int(r["iteration"]) for r in rows] == list(range(len(rows)))
+    assert int(report["newton_iterations"]) == len(rows)
+    # every stage starts with an unstepped row, and no stage attempt failed
+    assert len(per_step) == len(rows) - stages
+    assert int(report["krylov_iters"]) == sum(per_step)
+
+
 def test_solve_deterministic_artifacts(tmp_path):
     cfg_a = _cfg(tmp_path, MAN1, name="a.cfg", out="out_a")
     cfg_b = _cfg(tmp_path, MAN1, name="b.cfg", out="out_b")
@@ -158,6 +193,42 @@ def test_check_suites_pass(tmp_path, suite, samples, extra):
 def test_check_rejects_zero_eps0(tmp_path):
     text = CHECK.format(suite="lemma23", samples=10, extra="eps0 = 0\n", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,text,name",
+    [
+        pytest.param(
+            "check",
+            CHECK.format(suite="lemma23", samples=10, extra="eps0 = nan\n", out="{out}"),
+            "[check] eps0",
+            id="lemma23-eps0-nan",
+        ),
+        pytest.param(
+            "check",
+            CHECK.format(
+                suite="prop21", samples=10, extra="sigma = 1.7708\neps0 = nan\n", out="{out}"
+            ),
+            "[check] eps0",
+            id="prop21-eps0-nan",
+        ),
+        pytest.param(
+            "solve", MAN1.replace("eps0 = 0.5", "eps0 = nan"), "[problem] eps0",
+            id="problem-eps0-nan",
+        ),
+        pytest.param(
+            "solve", MAN1.replace("tol = 1e-11", "tol = nan"), "[solver] tol",
+            id="solver-tol-nan",
+        ),
+        pytest.param(
+            "solve", MAN1.replace("tol = 1e-11", "tol = inf"), "[solver] tol",
+            id="solver-tol-inf",
+        ),
+    ],
+)
+def test_non_finite_config_number_exits_two(tmp_path, capsys, command, text, name):
+    assert main([command, _cfg(tmp_path, text)]) == 2
+    assert f"{name} = " in capsys.readouterr().err
 
 
 def test_check_rejects_unknown_suite(tmp_path):

@@ -1,5 +1,7 @@
 """Binary field files and run configuration parsing."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "x.dhym"
     path.write_bytes(b"NOPE" + bytes(10))
     with pytest.raises(ConfigError, match="magic"):
+        read_field(path)
+
+
+def test_read_rejects_unsupported_grid(tmp_path):
+    path = tmp_path / "n12.dhym"
+    header = struct.pack("<4sIBBI", b"DHYM", 1, 0, 1, 12)
+    path.write_bytes(header + bytes(12 * 12 * 8))
+    with pytest.raises(ConfigError, match=r"n12\.dhym: .*N=12"):
         read_field(path)
 
 

@@ -38,6 +38,8 @@ def test_phase_spec_validation():
         PhaseSpec(2, 0.3, 0.4)  # eps0 exceeds the margin
     with pytest.raises(PhaseOutOfRange):
         PhaseSpec(2, 0.3, 0.0)
+    with pytest.raises(PhaseOutOfRange):
+        PhaseSpec(2, 0.3, float("nan"))
 
 
 # --- level-set sampling ---------------------------------------------------------

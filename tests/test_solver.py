@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dhym.errors import (
+    ConfigError,
     LinearSolveStalled,
     MaxItersExceeded,
     NotPositiveDefinite,
@@ -166,7 +167,7 @@ def test_newton_trivial_start_is_converged():
     prob = DhymProblem(g, om, chi0, theta_field(om, chi0), eps0=0.5)
     rep = newton_solve(prob)
     assert rep.converged
-    assert len(rep.newton_trace) == 1
+    assert len(rep.iterates) == 1
     assert rep.c == 0.0
     assert np.max(np.abs(rep.u.values)) == 0.0
 
@@ -182,8 +183,8 @@ def test_newton_manufactured_n1():
     assert rep.residual_sup <= 1e-8
     assert np.max(np.abs(rep.u.values - aligned)) <= 1e-9
     assert abs(rep.u.values.mean()) <= 1e-13
-    for _, _, margin in rep.newton_trace:
-        assert margin > 0.0
+    for it in rep.iterates:
+        assert it.min_phase - prob.phase_floor > 0.0
 
 
 def test_newton_manufactured_n2_small():
@@ -265,9 +266,9 @@ def test_forcing_tightens_to_krylov_tol_below_switch(monkeypatch):
     cfg = SolverConfig(tol=1e-11)
     rep = newton_solve(_manufactured_n1(), cfg=cfg)
     assert rep.converged
-    sups = [sup for sup, _, _ in rep.newton_trace[: len(rtols)]]
-    assert len(rtols) == len(rep.krylov_trace) == len(rep.newton_trace) - 1
-    assert rtols == [eta for _, eta in rep.krylov_trace]
+    sups = [it.residual_sup for it in rep.iterates[: len(rtols)]]
+    assert len(rtols) == len(rep.iterates) - 1
+    assert rtols == [it.eta for it in rep.iterates[1:]]
     loose = [r for r, sup in zip(rtols, sups) if sup > solver.FORCING_SWITCH]
     tight = [r for r, sup in zip(rtols, sups) if sup <= solver.FORCING_SWITCH]
     assert loose and tight
@@ -293,10 +294,10 @@ def test_loose_step_accepts_residual_within_eta(monkeypatch):
     rep = newton_solve(_manufactured_n1(), cfg=cfg)
     assert rep.converged
     assert reached[0] > 1e3 * cfg.krylov_tol
-    assert reached[0] <= rep.krylov_trace[0][1]
+    assert reached[0] <= rep.iterates[1].eta
 
 
-def test_krylov_trace_counts_operator_applications(monkeypatch):
+def test_iterates_count_operator_applications(monkeypatch):
     import dhym.solver as solver
 
     applies = []
@@ -316,8 +317,8 @@ def test_krylov_trace_counts_operator_applications(monkeypatch):
         ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
     )
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and rep.krylov_trace
-    iters = [k for k, _ in rep.krylov_trace]
+    assert rep.converged and len(rep.iterates) > 1
+    iters = [it.krylov_iters for it in rep.iterates[1:]]
     assert all(0 < k < 60 for k in iters)  # one restart cycle per step
     # each step adds the cycle-end residual of its one restart cycle
     assert all(applies)
@@ -341,7 +342,7 @@ def test_solve_inner_rejects_iterate_the_operator_never_saw(monkeypatch):
         newton_solve(_manufactured_n1())
 
 
-def test_iterate_rows_hold_the_computed_min_phase(monkeypatch):
+def test_iterates_hold_the_computed_min_phase(monkeypatch):
     import dhym.solver as solver
 
     phases = []
@@ -359,9 +360,9 @@ def test_iterate_rows_hold_the_computed_min_phase(monkeypatch):
         ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
     )
     rep = newton_solve(prob)
-    assert rep.converged and len(rep.iterate_rows) > 1
+    assert rep.converged and len(rep.iterates) > 1
     # n=1 puts the floor at -pi/2, where margin + floor would not round-trip
-    assert all(row[2] in phases for row in rep.iterate_rows)
+    assert all(it.min_phase in phases for it in rep.iterates)
 
 
 def test_newton_iteration_budget():
@@ -372,6 +373,29 @@ def test_newton_iteration_budget():
     )
     with pytest.raises(MaxItersExceeded):
         newton_solve(prob, cfg=SolverConfig(tol=1e-14, max_iters=1))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        pytest.param({"krylov_tol": 2.0}, id="krylov_tol-2"),
+        pytest.param({"tol": float("nan"), "max_iters": 3}, id="tol-nan"),
+        pytest.param({"krylov_tol": float("nan")}, id="krylov_tol-nan"),
+        pytest.param({"max_iters": 0}, id="max_iters-0"),
+        pytest.param({"krylov_iters": 0}, id="krylov_iters-0"),
+    ],
+)
+def test_solver_config_refuses_bad_fields(kw):
+    # at krylov_tol >= 1 gmres returns its zero iterate without an operator
+    # call, and no residual ever meets a NaN tol
+    with pytest.raises(ConfigError, match="krylov_tol below 1"):
+        newton_solve(_manufactured_n1(), cfg=SolverConfig(**kw))
+
+
+@pytest.mark.parametrize("eps0,target", [(float("nan"), 0.3), (0.5, float("nan"))])
+def test_problem_refuses_nan(eps0, target):
+    with pytest.raises(PhaseOutOfRange):
+        _simple_problem(_grid1(8), target=target, eps0=eps0)
 
 
 def test_continuity_path_stalls_when_stages_cannot_converge():
@@ -426,9 +450,9 @@ def test_newton_evaluates_each_trial_state_once(monkeypatch):
     monkeypatch.setattr(solver, "i_ddbar", counting_i_ddbar)
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.newton_trace) > 1
+    assert rep.converged and len(rep.iterates) > 1
     # an accepted step of length 2^-m is the (m+1)-th trial of its line search
-    trials = sum(1 + round(-np.log2(step)) for _, step, _ in rep.newton_trace[1:])
+    trials = sum(1 + round(-np.log2(it.step)) for it in rep.iterates[1:])
     # matvecs transform Hessian planes directly, so every i_ddbar call is a
     # state evaluation
     assert counts["i_ddbar"] == 1 + trials
@@ -471,7 +495,7 @@ def test_newton_checks_omega_once_per_problem(monkeypatch):
     prob = DhymProblem(g, omega, chi0, target, eps0=0.3)
     assert len(calls) == 1
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.newton_trace) > 1
+    assert rep.converged and len(rep.iterates) > 1
     assert len(calls) == 1
 
 
@@ -576,8 +600,23 @@ def test_continuity_stage_constants_nonpositive_when_target_dominates():
     assert rep.converged
     for _, c_t, _ in rep.continuity_trace:
         assert c_t <= 1e-12
-    for _, _, min_phase, _, _ in rep.iterate_rows:
-        assert min_phase > prob.phase_floor
+    for it in rep.iterates:
+        assert it.min_phase > prob.phase_floor
+
+
+def test_continuity_iterates_carry_their_stage():
+    g = _grid1()
+    x = g.axis_coordinate("x1")
+    om = identity_metric(g)
+    chi0 = isotropic_form_field(g, ScalarField(g, 0.5 + 0.2 * np.cos(x)))
+    prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.25)
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
+    stages = rep.continuity_trace[1:]
+    assert rep.converged and len(stages) > 1
+    # each stage records its starting state, then one state per Newton step
+    expected = [(t, c_t, j) for t, c_t, iters in stages for j in range(iters + 1)]
+    assert [(it.t, it.c) for it in rep.iterates] == [(t, c_t) for t, c_t, _ in expected]
+    assert [it.step == 0.0 for it in rep.iterates] == [j == 0 for _, _, j in expected]
 
 
 def test_continuity_multi_start_uniqueness():
