@@ -42,7 +42,6 @@ from .solver import (
     DhymProblem,
     SolverConfig,
     continuity_solve,
-    evaluate_state,
     manufactured_problem,
     newton_solve,
 )
@@ -150,7 +149,7 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     write_field(out_dir / "solution.dhym", report.u)
-    final = evaluate_state(report.u, report.c, prob)
+    final = report.iterates[-1]  # the solver's last accepted state
     pairs = [
         ("converged", str(report.converged).lower()),
         ("method", method),
@@ -165,7 +164,7 @@ def cmd_solve(args) -> int:
         ("newton_iterations", str(len(report.iterates))),
         ("krylov_iters", str(sum(it.krylov_iters for it in report.iterates))),
         ("continuity_stages", str(max(0, len(report.continuity_trace) - 1))),
-        ("final_residual_sup", _fmt(final.residual_sup)),
+        ("final_residual_sup", _fmt(report.residual_sup)),
     ]
     _write_report(out_dir / "report.txt", pairs)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
@@ -454,6 +453,10 @@ def cmd_surface(args) -> int:
 def cmd_region(args) -> int:
     if args.resolution < 2 or args.resolution > 2048:
         raise ConfigError(f"resolution {args.resolution} outside 2..2048")
+    for option in ("sigma", "scale", "offset"):
+        value = getattr(args, option)
+        if not np.isfinite(value):
+            raise ConfigError(f"--{option} must be finite, got {value!r}")
     sigma = args.sigma
     scale = args.scale
     lo = -np.pi / 2 * scale + args.offset

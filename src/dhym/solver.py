@@ -11,11 +11,18 @@ step.  The inner tolerance follows an Eisenstat-Walker forcing schedule
 at or below FORCING_SWITCH).  A backtracking line search keeps the pointwise
 phase above the supercritical floor (n-2) pi/2.  Constant targets are
 reached by an adaptive continuation from the initial phase field.
+
+The solver state is plane-native: omega, chi0 and each trial form
+chi = chi0 + i ddbar u are carried as their n^2 real planes (torus plane
+order; a spatially constant omega or chi0 is one point), and the phase and
+the kernel weight planes come in closed form from them.  No (..., n, n)
+complex array is built on the solve path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -34,12 +41,11 @@ from .torus import (
     ScalarField,
     TorusGrid,
     _check_metric_positive,
-    _density,
+    _form_planes,
     _hessian_planes,
-    _kernel_planes,
-    i_ddbar,
+    _kernel_weights,
+    _phase_planes,
     inverse_laplacian_quarter,
-    theta_field,
 )
 
 DT_MIN = 1.0 / 1024.0
@@ -50,31 +56,49 @@ FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_t
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
 
 
-@dataclass
+@dataclass(eq=False)
 class DhymProblem:
     """One instance of the phase equation on a torus.
 
     target is either a ScalarField h(x) or a constant angle; its values must
     stay in [(n-2) pi/2 + eps0, n pi/2) pointwise.  omega is checked
     positive-definite here, once; the solver's state evaluations and kernels
-    rely on that check.
+    rely on that check.  The problem keeps omega and chi0 only as their real
+    planes (omega_planes, chi0_planes; see torus._form_planes), each of
+    shape (n^2,) + grid, or (n^2,) + (1,) * 2n for a form that is the same
+    at every point.
     """
 
     grid: TorusGrid
-    omega: HermitianFormField
-    chi0: HermitianFormField
+    omega: InitVar[HermitianFormField]
+    chi0: InitVar[HermitianFormField]
     target: ScalarField | float
     eps0: float
+    omega_planes: np.ndarray = field(init=False, repr=False)
+    chi0_planes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, omega: HermitianFormField, chi0: HermitianFormField):
         if not self.eps0 > 0.0:  # so that NaN fails too
             raise PhaseOutOfRange(f"eps0={self.eps0:.6g} must be positive")
-        for f in (self.omega, self.chi0):
+        for f in (omega, chi0):
             if f.grid != self.grid:
                 raise DimensionMismatch("form fields live on a different grid")
+        _check_metric_positive(omega.values, self.grid.n)
+        self.omega_planes = _form_planes(omega)
+        self.chi0_planes = _form_planes(chi0)
+        self._check_target()
+
+    def with_target(self, target: ScalarField | float) -> DhymProblem:
+        """This problem with another target.  The planes are shared, and
+        omega is not checked again."""
+        other = copy.copy(self)
+        other.target = target
+        other._check_target()
+        return other
+
+    def _check_target(self) -> None:
         if isinstance(self.target, ScalarField) and self.target.grid != self.grid:
             raise DimensionMismatch("target field lives on a different grid")
-        _check_metric_positive(self.omega.values, self.grid.n)
         lo = self.phase_floor + self.eps0
         hi = self.grid.n * np.pi / 2
         vals = self.target_values()
@@ -117,15 +141,17 @@ class SolverConfig:
 class Iterate:
     """One accepted Newton state and the step that reached it.
 
-    residual_sup and min_phase belong to the state; step is the accepted
-    line-search length, krylov_iters the gmres iterations run and eta the
-    relative tolerance asked for (all 0 for a solve's starting state).  t is
-    the continuation time and c the stage constant: 1 and the state's own c
-    in a Newton solve, the stage's t and final c in a continuation.
+    residual_sup, min_phase and max_phase belong to the state; step is the
+    accepted line-search length, krylov_iters the gmres iterations run and
+    eta the relative tolerance asked for (all 0 for a solve's starting
+    state).  t is the continuation time and c the stage constant: 1 and the
+    state's own c in a Newton solve, the stage's t and final c in a
+    continuation.
     """
 
     residual_sup: float
     min_phase: float
+    max_phase: float
     step: float
     krylov_iters: int
     eta: float
@@ -154,25 +180,35 @@ class SolveReport:
 class StateEval:
     """What one evaluation derives from a state (u, c).
 
-    chi is the form chi0 + i ddbar u, residual is Theta(chi) - target - c
-    pointwise, residual_sup its sup norm, and min_phase/max_phase the
-    extremes of the pointwise phase Theta(chi).
+    chi holds the n^2 real planes of the form chi0 + i ddbar u, shape
+    (n^2,) + grid; residual is Theta(chi) - target - c pointwise,
+    residual_sup its sup norm, and min_phase/max_phase the extremes of the
+    pointwise phase Theta(chi).
     """
 
-    chi: HermitianFormField
+    chi: np.ndarray
     residual: ScalarField
     residual_sup: float
     min_phase: float
     max_phase: float
 
 
+def _form_with_hessian(chi0_planes: np.ndarray, u_values: np.ndarray, grid: TorusGrid):
+    """Planes of chi0 + i ddbar u: one forward and n^2 inverse transforms."""
+    chi = np.empty((grid.n ** 2,) + grid.shape)
+    for base, hess, out in zip(chi0_planes, _hessian_planes(u_values, grid), chi):
+        np.add(base, hess, out=out)
+    return chi
+
+
 def evaluate_state(u: ScalarField, c: float, prob: DhymProblem) -> StateEval:
-    """Build chi0 + i ddbar u once and derive the residual and phase range."""
-    chi = HermitianFormField(
-        prob.grid, prob.chi0.values + i_ddbar(u).values, _symmetrized=True
-    )
-    theta = np.angle(_density(prob.omega, chi))
-    res = ScalarField(prob.grid, theta - prob.target_values() - c)
+    """Build the planes of chi0 + i ddbar u once and derive the residual and
+    phase range from them."""
+    chi = _form_with_hessian(prob.chi0_planes, u.values, prob.grid)
+    theta = _phase_planes(prob.omega_planes, chi, prob.grid.n)
+    res = theta - prob.target_values()
+    res -= c  # in place: one plane less at the peak
+    res = ScalarField(prob.grid, res)
     return StateEval(
         chi=chi,
         residual=res,
@@ -187,16 +223,17 @@ def residual(u: ScalarField, c: float, prob: DhymProblem) -> ScalarField:
     return evaluate_state(u, c, prob).residual
 
 
-def linearization_kernel(chi: HermitianFormField, prob: DhymProblem) -> np.ndarray:
+def linearization_kernel(chi: np.ndarray, prob: DhymProblem) -> np.ndarray:
     """Real weight planes of the linearized operator, shape (n^2,) + grid.
 
-    K = (omega + chi omega^-1 chi)^-1 at the state whose form is chi (see
-    evaluate_state).  The derivative of the phase in direction v is
+    K = (omega + chi omega^-1 chi)^-1 at the state whose form has the planes
+    chi (see evaluate_state), in closed form (torus._kernel_weights).  The
+    derivative of the phase in direction v is
     tr(K i ddbar v) = sum_j K_jj v_jj + sum_{j<k} 2 Re(K_jk conj(v_jk)), so
     the planes [K_jj for each j, then 2 Re K_jk and 2 Im K_jk for each j < k]
     pair one to one with the Hessian planes of v (torus._hessian_planes).
     """
-    return _kernel_planes(prob.omega, chi)
+    return _kernel_weights(prob.omega_planes, chi, prob.grid.n)
 
 
 def apply_linearized(
@@ -239,14 +276,14 @@ def manufactured_problem(
 ) -> DhymProblem:
     """Problem whose exact solution is u_star (up to its mean) with c = 0.
 
-    The target is the discrete phase field of chi0 + i ddbar u_star; raises
-    PhaseOutOfRange if that field leaves the admissible band.
+    The target is the discrete phase field of chi0 + i ddbar u_star, from
+    the same planes and formulas as evaluate_state; raises PhaseOutOfRange
+    if that field leaves the admissible band.  The DhymProblem checks omega.
     """
     grid = u_star.grid
-    chi = HermitianFormField(
-        grid, chi0.values + i_ddbar(u_star).values, _symmetrized=True
-    )
-    target = theta_field(omega, chi)
+    chi = _form_with_hessian(_form_planes(chi0), u_star.values, grid)
+    target = ScalarField(grid, _phase_planes(_form_planes(omega), chi, grid.n))
+    del chi  # freed before the problem converts omega and chi0
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
 
@@ -354,7 +391,9 @@ def newton_solve(
             "initial state is not supercritical for this problem"
         )
 
-    iterates = [Iterate(state.residual_sup, state.min_phase, 0.0, 0, 0.0, 1.0, c)]
+    iterates = [
+        Iterate(state.residual_sup, state.min_phase, state.max_phase, 0.0, 0, 0.0, 1.0, c)
+    ]
 
     for _ in range(cfg.max_iters):
         if state.residual_sup <= cfg.tol:
@@ -377,7 +416,8 @@ def newton_solve(
             if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
                 u_vals, c, state = trial_u, trial_c, trial
                 iterates.append(Iterate(
-                    state.residual_sup, state.min_phase, step, krylov_iters, eta, 1.0, c
+                    state.residual_sup, state.min_phase, state.max_phase, step,
+                    krylov_iters, eta, 1.0, c,
                 ))
                 break
             floor_blocked = trial.min_phase <= floor
@@ -422,7 +462,10 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         raise PhaseOutOfRange("continuity_solve needs a constant target")
     grid = prob.grid
     h_hat = float(prob.target)
-    theta0 = np.angle(_density(prob.omega, prob.chi0))
+    # a constant omega and chi0 give a one-point phase; spread it over the grid
+    theta0 = np.broadcast_to(
+        _phase_planes(prob.omega_planes, prob.chi0_planes, grid.n), grid.shape
+    )
     if theta0.min() < prob.phase_floor + prob.eps0 - 1e-12:
         raise PhaseFloorViolated("initial phase field is not supercritical")
 
@@ -435,7 +478,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     while t < 1.0:
         t_next = min(1.0, t + dt)
         stage_target = ScalarField(grid, (1.0 - t_next) * theta0 + t_next * h_hat)
-        stage_prob = replace(prob, target=stage_target)
+        stage_prob = prob.with_target(stage_target)
         try:
             report = newton_solve(stage_prob, u0=u, cfg=cfg)
         except (MaxItersExceeded, LinearSolveStalled, PhaseFloorViolated):

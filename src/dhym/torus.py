@@ -17,9 +17,15 @@ The phase, its linearization kernel and the averaged angle all derive from
 the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
 Arg det(omega + i chi), the kernel (omega + chi omega^-1 chi)^-1 is the
 Hermitian part of (omega + i chi)^-1, and the averaged angle integrates the
-density det(omega + i chi) with an explicit branch lift.  The solver takes
-the kernel as n^2 real weight planes that pair with the Hessian planes, so
-its matvec tr(K i ddbar v) never builds a complex Hessian.
+density det(omega + i chi) with an explicit branch lift.  The public
+functions take HermitianFormField pairs.  The solver instead carries every
+form as its n^2 real planes, in the plane order of the Hessian planes
+(_form_planes; a spatially constant form collapses to one point), and takes
+the determinant, the phase and the kernel weight planes in closed form from
+them (_det_planes, _phase_planes, _kernel_weights), so no (..., n, n)
+complex array is built on its path.  The kernel's weight planes pair with
+the Hessian planes, so the matvec tr(K i ddbar v) never builds a complex
+Hessian either.
 """
 
 from __future__ import annotations
@@ -324,7 +330,7 @@ def _complex_form(omega: HermitianFormField, chi: HermitianFormField) -> np.ndar
     """omega + i chi pointwise.
 
     omega is not checked here: the public functions below check it on every
-    call, and DhymProblem checks it once for the whole solve.
+    call.  The solver does not use it; it works on planes (_form_planes).
     """
     if chi.grid != omega.grid:
         raise DimensionMismatch("omega and chi live on different grids")
@@ -360,26 +366,90 @@ def _density(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
     return _det(_complex_form(omega, chi), omega.grid.n)
 
 
-def _kernel_planes(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
+def _form_planes(form: HermitianFormField) -> np.ndarray:
+    """The n^2 real planes of a form field in plane order, shape (n^2,) + grid.
+
+    The planes are a_jj for each j, then Re a_jk and Im a_jk for each
+    j < k (see _hessian_planes).  A form whose values are equal at every
+    grid point collapses to shape (n^2,) + (1,) * 2n, which broadcasts
+    against full planes; equality of values decides, not the strides, so a
+    constant form stored as a full array collapses too.
+    """
+    n = form.grid.n
+    values = form.values
+    first = values[(0,) * (2 * n)]
+    if np.all(values == first):
+        values = first.reshape((1,) * (2 * n) + (n, n))
+    planes = [values[..., j, j].real for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            planes += [values[..., j, k].real, values[..., j, k].imag]
+    return np.stack(planes)
+
+
+def _det_planes(w: np.ndarray, c: np.ndarray, n: int):
+    """Re and Im of det(omega + i chi) from the planes w of omega and c of chi.
+
+    n=1: w00 + i c00.  n=2: Re det = (w00 w11 - |w01|^2) - (c00 c11 - |c01|^2)
+    and Im det = w00 c11 + c00 w11 - 2 (Re w01 Re c01 + Im w01 Im c01).
+    Either argument may be collapsed (see _form_planes).  At n=2 the
+    results are new arrays of the broadcast shape; at n=1 they are the
+    argument planes themselves, so callers must not write to them.
+    """
+    if n == 1:
+        return w[0], c[0]
+    w00, w11, wr, wi = w
+    c00, c11, cr, ci = c
+    shape = np.broadcast_shapes(w.shape[1:], c.shape[1:])
+    re, im = np.empty(shape), np.empty(shape)
+    np.multiply(c00, c11, out=re)
+    re -= cr * cr
+    re -= ci * ci
+    np.subtract(w00 * w11 - wr * wr - wi * wi, re, out=re)
+    np.multiply(w00, c11, out=im)
+    im += c00 * w11
+    cross = wr * cr
+    cross += wi * ci
+    cross *= 2.0
+    im -= cross
+    return re, im
+
+
+def _phase_planes(w: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise phase Arg det(omega + i chi) from planes (see theta_field)."""
+    re, im = _det_planes(w, c, n)
+    return np.arctan2(im, re)
+
+
+# (complementary plane q, sign s) of each kernel weight plane at n=2
+_KERNEL_PAIRS = ((1, 1.0), (0, 1.0), (2, -2.0), (3, -2.0))
+
+
+def _kernel_weights(w: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """Weight planes of the Hermitian part K of A = (omega + i chi)^-1.
 
-    Shape (n^2,) + grid, omega unchecked (see _complex_form).  The planes
-    are K_jj for each j, then 2 Re K_jk = Re(A_jk + A_kj) and
-    2 Im K_jk = Im(A_jk - A_kj) for each j < k, so that
-    tr(K H) is the sum of the planes times the planes of a Hermitian H
-    (see _hessian_planes).
+    w and c are the planes of omega and chi (either may be collapsed); the
+    result has shape (n^2,) + their broadcast shape.  The planes are K_jj
+    for each j, then 2 Re K_jk and 2 Im K_jk for each j < k, so that tr(K H)
+    is the sum of the planes times the planes of a Hermitian H (see
+    _hessian_planes).  With A = adj(omega + i chi) / det, plane p is
+    s_p (w_q Re det + c_q Im det) / |det|^2 for (q, s_p) in _KERNEL_PAIRS;
+    at n=1 it is Re det / |det|^2.
     """
-    form = _complex_form(omega, chi)
-    if omega.grid.n == 1:
-        return np.stack([(1.0 / form[..., 0, 0]).real])
-    det = _det(form, 2)
-    a01, a10 = -form[..., 0, 1] / det, -form[..., 1, 0] / det
-    return np.stack([
-        (form[..., 1, 1] / det).real,
-        (form[..., 0, 0] / det).real,
-        (a01 + a10).real,
-        (a01 - a10).imag,
-    ])
+    re, im = _det_planes(w, c, n)
+    if n == 1:
+        return (re / (re * re + im * im))[None]
+    scale = re * re
+    scale += im * im
+    re /= scale
+    im /= scale
+    del scale
+    out = np.empty((4,) + re.shape)
+    for plane, (q, sign) in zip(out, _KERNEL_PAIRS):
+        np.multiply(w[q], re, out=plane)
+        plane += c[q] * im
+        plane *= sign
+    return out
 
 
 def theta_field(omega: HermitianFormField, chi: HermitianFormField) -> ScalarField:
@@ -396,11 +466,13 @@ def eta_inverse_values(
 
     The Hermitian part of (omega + i chi)^-1: by Jacobi's formula the phase
     derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).  It is
-    assembled from the solver's weight planes (_kernel_planes).
+    assembled from the solver's weight planes (_kernel_weights).
     """
     n = omega.grid.n
+    if chi.grid != omega.grid:
+        raise DimensionMismatch("omega and chi live on different grids")
     _check_metric_positive(omega.values, n)
-    planes = _kernel_planes(omega, chi)
+    planes = _kernel_weights(_form_planes(omega), _form_planes(chi), n)
     planes[n:] *= 0.5
     return _from_planes(planes, omega.grid)
 

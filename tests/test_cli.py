@@ -86,6 +86,36 @@ def test_solve_manufactured_exit_zero(tmp_path):
     assert rows and set(rows[0]) == {"iteration", "residual_sup", "min_phase", "t", "b_t"}
 
 
+def test_solve_report_reads_the_last_state(tmp_path, monkeypatch):
+    import dhym.torus as torus
+    from dhym.cli import _build_problem
+    from dhym.fieldio import read_field
+    from dhym.runconfig import load_config
+    from dhym.solver import SolverConfig, evaluate_state, newton_solve
+
+    forward = []
+    fftn = torus.fftn
+    monkeypatch.setattr(torus, "fftn", lambda values: forward.append(1) or fftn(values))
+    cfg = _cfg(tmp_path, MAN1)
+    prob = _build_problem(load_config(cfg))
+    build_transforms, forward[:] = len(forward), []
+    newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    solve_transforms, forward[:] = len(forward), []
+    assert main(["solve", cfg]) == 0
+    # the problem and the solve: no state is evaluated after the solver returns
+    assert len(forward) == build_transforms + solve_transforms
+    report = dict(
+        ln.split(" = ") for ln in _strip_timestamp(tmp_path / "out" / "report.txt")
+    )
+    assert report["final_residual_sup"] == report["residual_sup"]
+    # the phase range of the solver's last state is that of the written solution
+    solution = read_field(tmp_path / "out" / "solution.dhym")
+    state = evaluate_state(solution, float(report["c"]), prob)
+    assert abs(float(report["min_phase"]) - state.min_phase) <= 1e-12
+    assert abs(float(report["max_phase"]) - state.max_phase) <= 1e-12
+    assert float(report["min_phase"]) < float(report["max_phase"])
+
+
 def test_solve_hat_theta_target(tmp_path):
     rc = main(["solve", _cfg(tmp_path, CONT1)])
     assert rc == 0
@@ -368,6 +398,17 @@ def test_region_empty_when_window_far_negative(tmp_path):
 
 def test_region_rejects_bad_resolution():
     assert main(["region", "--resolution", "4096"]) == 2
+
+
+@pytest.mark.parametrize(
+    "option,value", [("sigma", "nan"), ("scale", "nan"), ("offset", "inf"), ("sigma", "-inf")]
+)
+def test_region_rejects_non_finite_window(tmp_path, capsys, option, value):
+    out = tmp_path / "region.csv"
+    argv = ["region", f"--{option}={value}", "--resolution", "8", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"--{option} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_angle_from_config(tmp_path, capsys):

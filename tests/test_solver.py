@@ -427,17 +427,27 @@ def test_newton_floor_blocked_step_raises_phase_floor(monkeypatch):
 
 def test_newton_evaluates_each_trial_state_once(monkeypatch):
     import dhym.solver as solver
+    import dhym.torus as torus
 
-    counts = {"i_ddbar": 0, "matvec": 0}
-    i_ddbar_orig, apply_orig = solver.i_ddbar, solver.apply_linearized
+    counts = {"evaluate": 0, "forward": 0, "matvec": 0, "precondition": 0}
+    evaluate_orig, fftn_orig = solver.evaluate_state, torus.fftn
+    apply_orig, inverse_orig = solver.apply_linearized, solver.inverse_laplacian_quarter
 
-    def counting_i_ddbar(u):
-        counts["i_ddbar"] += 1
-        return i_ddbar_orig(u)
+    def counting_evaluate(u, c, prob):
+        counts["evaluate"] += 1
+        return evaluate_orig(u, c, prob)
+
+    def counting_fftn(values):
+        counts["forward"] += 1
+        return fftn_orig(values)
 
     def counting_apply(kernel, v_values, grid, **kw):
         counts["matvec"] += 1
         return apply_orig(kernel, v_values, grid, **kw)
+
+    def counting_inverse(rhs, grid):
+        counts["precondition"] += 1
+        return inverse_orig(rhs, grid)
 
     g = TorusGrid(2, 8)
     ustar = ScalarField(
@@ -447,16 +457,20 @@ def test_newton_evaluates_each_trial_state_once(monkeypatch):
     prob = manufactured_problem(
         ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
     )
-    monkeypatch.setattr(solver, "i_ddbar", counting_i_ddbar)
+    monkeypatch.setattr(solver, "evaluate_state", counting_evaluate)
+    monkeypatch.setattr(torus, "fftn", counting_fftn)
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
+    monkeypatch.setattr(solver, "inverse_laplacian_quarter", counting_inverse)
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
     assert rep.converged and len(rep.iterates) > 1
     # an accepted step of length 2^-m is the (m+1)-th trial of its line search
     trials = sum(1 + round(-np.log2(it.step)) for it in rep.iterates[1:])
-    # matvecs transform Hessian planes directly, so every i_ddbar call is a
-    # state evaluation
-    assert counts["i_ddbar"] == 1 + trials
-    assert counts["matvec"] > 0
+    assert counts["evaluate"] == 1 + trials
+    # every forward transform outside the matvecs and the one M^-1 apply per
+    # step belongs to a state evaluation: one per trial, each done once
+    steps = len(rep.iterates) - 1
+    assert counts["matvec"] > 0 and counts["precondition"] == steps
+    assert counts["forward"] - counts["matvec"] - counts["precondition"] == 1 + trials
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -499,6 +513,33 @@ def test_newton_checks_omega_once_per_problem(monkeypatch):
     assert len(calls) == 1
 
 
+def test_continuation_stages_reuse_the_problem_planes(monkeypatch):
+    import dhym.solver as solver
+    import dhym.torus as torus
+
+    g = TorusGrid(2, 8)
+    omega = identity_metric(g)
+    chi0 = isotropic_form_field(g, ScalarField(g, 0.5 + 0.2 * np.cos(g.axis_coordinate("x1"))))
+    prob = DhymProblem(g, omega, chi0, hat_theta(omega, chi0).hat_theta, eps0=0.2)
+
+    calls = []
+
+    def counting(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+
+    for name in ("_check_metric_positive", "_form_planes"):
+        wrapper = counting(name, getattr(torus, name))
+        monkeypatch.setattr(torus, name, wrapper)
+        monkeypatch.setattr(solver, name, wrapper)
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.converged and len(rep.continuity_trace) > 2
+    # every stage problem shares the parent's planes and its omega check
+    assert calls == []
+
+
 # --- supercritical check --------------------------------------------------------------
 
 
@@ -516,10 +557,9 @@ def test_verify_supercritical_negative_state():
     g = TorusGrid(2, 8)
     om = identity_metric(g)
     chi = constant_form_field(g, -np.eye(2))
-    prob = DhymProblem(
-        g, om, constant_form_field(g, np.eye(2)), float(np.pi / 2), eps0=0.1
-    )
-    prob.chi0 = chi  # probe a non-admissible state against the same problem
+    # the probe problem starts at a state below the floor: verify_supercritical
+    # checks the state, not the target
+    prob = DhymProblem(g, om, chi, float(np.pi / 2), eps0=0.1)
     rep = verify_supercritical(ScalarField(g, np.zeros(g.shape)), prob)
     assert not rep["ok"]
 

@@ -74,8 +74,8 @@ def _rel_err(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-def _random_problem(g, seed):
-    """Problem with a pointwise positive-definite omega far from the identity."""
+def _random_forms(g, seed):
+    """A pointwise positive-definite omega far from the identity, and a chi0."""
     rng = np.random.default_rng(seed)
     shape = g.shape + (g.n, g.n)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -83,7 +83,11 @@ def _random_problem(g, seed):
         g, np.einsum("...ij,...kj->...ik", base, np.conj(base)) + 0.8 * np.eye(g.n)
     )
     chi0 = HermitianFormField(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return DhymProblem(g, omega, chi0, target=float(g.n * np.pi / 4), eps0=0.1)
+    return omega, chi0
+
+
+def _random_problem(g, seed):
+    return DhymProblem(g, *_random_forms(g, seed), target=float(g.n * np.pi / 4), eps0=0.1)
 
 
 @pytest.mark.parametrize("n,N", GRIDS)
@@ -107,13 +111,14 @@ def test_spectral_operators_match_full_spectrum(n, N):
 @pytest.mark.parametrize("n,N", GRIDS)
 def test_linearized_apply_matches_full_hessian_contraction(n, N):
     g = TorusGrid(n, N)
-    prob = _random_problem(g, 7 * N + n)
+    omega, chi0 = _random_forms(g, 7 * N + n)
+    prob = DhymProblem(g, omega, chi0, target=float(g.n * np.pi / 4), eps0=0.1)
     u = _field(g, 200 + N + n) / N**2
     v = _field(g, 300 + N + n)
     # the kernel (omega + chi omega^-1 chi)^-1 as the Hermitian part of
     # (omega + i chi)^-1, inverted by LAPACK
-    chi = prob.chi0.values + _c2c_i_ddbar(u, g)
-    kernel = symmetrize(np.linalg.inv(prob.omega.values + 1j * chi))
+    chi = chi0.values + _c2c_i_ddbar(u, g)
+    kernel = symmetrize(np.linalg.inv(omega.values + 1j * chi))
     ref = np.einsum("...ij,...ji->...", kernel, _c2c_i_ddbar(v, g)).real
     got = linearized_apply(ScalarField(g, u), ScalarField(g, v), prob).values
     assert _rel_err(got, ref) <= 1e-12
@@ -144,6 +149,9 @@ def test_transform_counts(n, transform_counts):
     v = _field(g, 50 + n)
     chi = solver.evaluate_state(ScalarField(g, np.zeros(g.shape)), 0.0, prob).chi
     kernel = solver.linearization_kernel(chi, prob)
+    # the state and the kernel are real planes, one per Hessian plane
+    assert chi.shape == kernel.shape == (n * n,) + g.shape
+    assert chi.dtype == kernel.dtype == np.float64
 
     def transforms(call):
         transform_counts.update(forward=0, inverse=0)
@@ -179,6 +187,7 @@ def test_solve_inner_operator_and_preconditioner_counts(n, monkeypatch):
     prob = _random_problem(g, 60 + n)
     state = solver.evaluate_state(ScalarField(g, np.zeros(g.shape)), 0.0, prob)
     kernel = solver.linearization_kernel(state.chi, prob)
+    assert state.chi.shape == kernel.shape == (n * n,) + g.shape
     counts = {"operator": 0, "inverse": 0}
     apply, inverse = solver.apply_linearized, solver.inverse_laplacian_quarter
 

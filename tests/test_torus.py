@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dhym.errors import DimensionMismatch, NotPositiveDefinite
-from dhym.hermitian import dF, eig_pair, eig_pair_batch, lagrangian_angle_det
+from dhym.hermitian import dF, eig_pair, eig_pair_batch, lagrangian_angle_det, symmetrize
 from dhym.torus import (
     HermitianFormField,
     ScalarField,
     TorusGrid,
+    _form_planes,
+    _kernel_weights,
+    _phase_planes,
     constant_form_field,
     eta_inverse_values,
     hat_theta,
@@ -294,6 +297,58 @@ def test_eta_inverse_matches_pointwise_dF(n):
     for idx in range(0, flat_om.shape[0], 37):
         ref = dF(eig_pair(flat_om[idx], flat_chi[idx]))
         assert np.max(np.abs(flat_kernel[idx] - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref)))
+
+
+# --- closed forms on real planes (the solver's state) ------------------------------
+
+
+CONSTANT_OMEGA = {
+    1: [[1.7]],
+    2: [[2.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.5]],
+}
+
+
+def _reference(omega, chi):
+    """Phase as the arctan sum of the LAPACK pencil eigenvalues, and the
+    kernel planes of Herm((omega + i chi)^-1) from a LAPACK inverse."""
+    g = chi.grid
+    n = g.n
+    flat = (-1, n, n)
+    lam, _ = eig_pair_batch(omega.values.reshape(flat), chi.values.reshape(flat))
+    phase = np.sum(np.arctan(lam), axis=-1).reshape(g.shape)
+    k = symmetrize(np.linalg.inv(omega.values + 1j * chi.values))
+    planes = [k[..., j, j].real for j in range(n)]
+    if n == 2:
+        planes += [2.0 * k[..., 0, 1].real, 2.0 * k[..., 0, 1].imag]
+    return phase, np.stack(planes)
+
+
+def _assert_closed_forms_match(omega, chi):
+    n = chi.grid.n
+    w, c = _form_planes(omega), _form_planes(chi)
+    phase, kernel = _reference(omega, chi)
+    assert np.max(np.abs(_phase_planes(w, c, n) - phase)) <= 1e-12
+    got = _kernel_weights(w, c, n)
+    assert got.shape == kernel.shape
+    assert np.max(np.abs(got - kernel)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_plane_closed_forms_match_lapack(n):
+    g = TorusGrid(n, 8)
+    omega, chi = _random_pencil_fields(g, 70 + n)
+    assert _form_planes(omega).shape == (n * n,) + g.shape
+    _assert_closed_forms_match(omega, chi)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_omega_collapses_and_matches_lapack(n):
+    g = TorusGrid(n, 8)
+    _, chi = _random_pencil_fields(g, 80 + n)
+    omega = constant_form_field(g, CONSTANT_OMEGA[n])
+    w = _form_planes(omega)
+    assert w.shape == (n * n,) + (1,) * (2 * n)
+    _assert_closed_forms_match(omega, chi)
 
 
 # --- averaged angle ------------------------------------------------------------------
