@@ -31,6 +31,7 @@ def main():
     print(f"{'t':>8} {'stage constant':>16} {'iters':>6}")
     for t, c_t, iters in report.continuity_trace:
         print(f"{t:>8.4f} {c_t:>16.3e} {iters:>6}")
+    print(f"failed stage attempts = {len(report.failed_attempts)}")
     final = evaluate_state(report.u, report.c, prob)
     print(f"gmres iterations = {sum(it.krylov_iters for it in report.iterates)}")
     print(f"converged = {report.converged}")

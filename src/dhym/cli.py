@@ -41,6 +41,7 @@ from .runconfig import RunConfig, load_config, parse_form_spec, parse_grid, pars
 from .solver import (
     DhymProblem,
     SolverConfig,
+    _bounded_planes,
     continuity_solve,
     manufactured_problem,
     newton_solve,
@@ -98,6 +99,9 @@ def _build_problem(cfg: RunConfig) -> DhymProblem:
             raise ConfigError("target kind=constant needs value")
         target: ScalarField | float = value
     elif kind == "hat-theta":
+        # bound the entries first, or the averaged angle's density overflows
+        _bounded_planes(omega, "omega")
+        _bounded_planes(chi0, "chi0")
         target = hat_theta(omega, chi0).hat_theta
     elif kind == "field":
         path = cfg.require("target", "path")
@@ -164,6 +168,7 @@ def cmd_solve(args) -> int:
         ("newton_iterations", str(len(report.iterates))),
         ("krylov_iters", str(sum(it.krylov_iters for it in report.iterates))),
         ("continuity_stages", str(max(0, len(report.continuity_trace) - 1))),
+        ("continuity_failed_attempts", str(len(report.failed_attempts))),
         ("final_residual_sup", _fmt(report.residual_sup)),
     ]
     _write_report(out_dir / "report.txt", pairs)

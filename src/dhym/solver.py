@@ -10,13 +10,17 @@ step.  The inner tolerance follows an Eisenstat-Walker forcing schedule
 (loose while Newton is far from the root, krylov_tol once the residual is
 at or below FORCING_SWITCH).  A backtracking line search keeps the pointwise
 phase above the supercritical floor (n-2) pi/2.  Constant targets are
-reached by an adaptive continuation from the initial phase field.
+reached by an adaptive continuation from the initial phase field: its first
+attempt is the whole path (DT_MAX = 1), and it halves the step only when a
+stage fails.
 
 The solver state is plane-native: omega, chi0 and each trial form
 chi = chi0 + i ddbar u are carried as their n^2 real planes (torus plane
 order; a spatially constant omega or chi0 is one point), and the phase and
 the kernel weight planes come in closed form from them.  No (..., n, n)
-complex array is built on the solve path.
+complex array is built on the solve path.  Entries of omega and chi0 are
+bounded by FORM_ENTRY_MAX, checked once when a problem is built, so that
+the closed forms cannot overflow.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    BadRange,
     ConfigError,
     DimensionMismatch,
     LinearSolveStalled,
@@ -49,11 +54,28 @@ from .torus import (
 )
 
 DT_MIN = 1.0 / 1024.0
-DT_MAX = 0.25
+DT_MAX = 1.0  # continuation first tries the whole path
 FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
 FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
+# Largest |entry| of omega or chi0 a problem accepts.  At n=2, |det|^2 in
+# the kernel weights is quartic in the entries and overflows near 1e77; the
+# bound leaves the solve's forms chi0 + i ddbar u room to grow.
+FORM_ENTRY_MAX = 1e64
+
+
+def _bounded_planes(form: HermitianFormField, name: str) -> np.ndarray:
+    """The planes of a problem's form (torus._form_planes); raises BadRange,
+    naming the form, if an entry exceeds FORM_ENTRY_MAX in magnitude."""
+    planes = _form_planes(form)
+    peak = max(float(planes.max()), -float(planes.min()))  # no |planes| temporary
+    if not peak <= FORM_ENTRY_MAX:
+        raise BadRange(
+            f"{name} has an entry of magnitude {peak:.3g}, above the supported "
+            f"{FORM_ENTRY_MAX:g}"
+        )
+    return planes
 
 
 @dataclass(eq=False)
@@ -62,11 +84,12 @@ class DhymProblem:
 
     target is either a ScalarField h(x) or a constant angle; its values must
     stay in [(n-2) pi/2 + eps0, n pi/2) pointwise.  omega is checked
-    positive-definite here, once; the solver's state evaluations and kernels
-    rely on that check.  The problem keeps omega and chi0 only as their real
-    planes (omega_planes, chi0_planes; see torus._form_planes), each of
-    shape (n^2,) + grid, or (n^2,) + (1,) * 2n for a form that is the same
-    at every point.
+    positive-definite here, once, and the entries of omega and chi0 are
+    checked against FORM_ENTRY_MAX; the solver's state evaluations and
+    kernels rely on these checks.  The problem keeps omega and chi0 only as
+    their real planes (omega_planes, chi0_planes; see torus._form_planes),
+    each of shape (n^2,) + grid, or (n^2,) + (1,) * 2n for a form that is
+    the same at every point.
     """
 
     grid: TorusGrid
@@ -83,9 +106,9 @@ class DhymProblem:
         for f in (omega, chi0):
             if f.grid != self.grid:
                 raise DimensionMismatch("form fields live on a different grid")
+        self.omega_planes = _bounded_planes(omega, "omega")
+        self.chi0_planes = _bounded_planes(chi0, "chi0")
         _check_metric_positive(omega.values, self.grid.n)
-        self.omega_planes = _form_planes(omega)
-        self.chi0_planes = _form_planes(chi0)
         self._check_target()
 
     def with_target(self, target: ScalarField | float) -> DhymProblem:
@@ -166,6 +189,8 @@ class SolveReport:
     iterates: one record per accepted state, each solve's (or continuation
     stage's) starting state included.
     continuity_trace rows: (t, stage_constant, iterations).
+    failed_attempts: (t, exception class name) of each continuation stage
+    attempt that failed and made the step halve, in order.
     """
 
     u: ScalarField
@@ -174,6 +199,7 @@ class SolveReport:
     converged: bool
     iterates: list[Iterate] = field(default_factory=list)
     continuity_trace: list[tuple[float, float, int]] = field(default_factory=list)
+    failed_attempts: list[tuple[float, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -278,11 +304,14 @@ def manufactured_problem(
 
     The target is the discrete phase field of chi0 + i ddbar u_star, from
     the same planes and formulas as evaluate_state; raises PhaseOutOfRange
-    if that field leaves the admissible band.  The DhymProblem checks omega.
+    if that field leaves the admissible band.  The entries of omega and chi0
+    are bounded before the target is computed; the DhymProblem checks that
+    omega is positive-definite.
     """
     grid = u_star.grid
-    chi = _form_with_hessian(_form_planes(chi0), u_star.values, grid)
-    target = ScalarField(grid, _phase_planes(_form_planes(omega), chi, grid.n))
+    omega_planes = _bounded_planes(omega, "omega")
+    chi = _form_with_hessian(_bounded_planes(chi0, "chi0"), u_star.values, grid)
+    target = ScalarField(grid, _phase_planes(omega_planes, chi, grid.n))
     del chi  # freed before the problem converts omega and chi0
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
@@ -451,8 +480,10 @@ def newton_solve(
 def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """March a constant-target problem from the initial phase field.
 
-    The stage target at time t is (1-t) Theta0 + t h_hat; the step doubles
-    after fast stages and halves on failure within [1/1024, 1/4].  Stage
+    The stage target at time t is (1-t) Theta0 + t h_hat.  The first
+    attempt is the full step to t = 1 (DT_MAX); a failed stage halves the
+    step, down to DT_MIN = 1/1024, and a fast stage doubles it again, up to
+    DT_MAX.  Each failed attempt is recorded in failed_attempts.  Stage
     solutions warm-start the next stage.  The final stage constant is the
     shift c_1, reported as a diagnostic (it vanishes for h_hat equal to the
     averaged angle of (omega, chi0), up to discretization).
@@ -474,6 +505,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     dt = DT_MAX
     continuity_trace: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
     iterates: list[Iterate] = []
+    failed_attempts: list[tuple[float, str]] = []
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -481,7 +513,8 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         stage_prob = prob.with_target(stage_target)
         try:
             report = newton_solve(stage_prob, u0=u, cfg=cfg)
-        except (MaxItersExceeded, LinearSolveStalled, PhaseFloorViolated):
+        except (MaxItersExceeded, LinearSolveStalled, PhaseFloorViolated) as exc:
+            failed_attempts.append((t_next, type(exc).__name__))
             dt *= 0.5
             if dt < DT_MIN:
                 raise PathStalled(
@@ -497,4 +530,9 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
             dt = min(2.0 * dt, DT_MAX)
 
     # the loop ends only after a successful stage, so report is the last one
-    return replace(report, iterates=iterates, continuity_trace=continuity_trace)
+    return replace(
+        report,
+        iterates=iterates,
+        continuity_trace=continuity_trace,
+        failed_attempts=failed_attempts,
+    )

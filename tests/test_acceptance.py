@@ -340,8 +340,19 @@ def test_criterion_07_continuity_method():
     prob_dom = DhymProblem(g, omega, chi0, h_dom, eps0=0.25)
     rep_dom = continuity_solve(prob_dom, cfg=SolverConfig(tol=1e-11))
     theta0 = theta_field(omega, chi0).values
+    # continuation may reach t = 1 in one stage, so the stage problems at
+    # t = 0.25, 0.5, 0.75 are also solved here, each warm-started from the last
+    samples = list(rep_dom.continuity_trace)
+    u_prev = None
+    for t in (0.25, 0.5, 0.75):
+        stage_target = ScalarField(g, (1 - t) * theta0 + t * h_dom)
+        stage = newton_solve(
+            prob_dom.with_target(stage_target), u0=u_prev, cfg=SolverConfig(tol=1e-11)
+        )
+        samples.append((t, stage.c, len(stage.iterates) - 1))
+        u_prev = stage.u
     bt_ok = True
-    for t, c_t, _ in rep_dom.continuity_trace:
+    for t, c_t, _ in samples:
         target_t = (1 - t) * theta0 + t * h_dom
         if np.min(target_t - theta0) >= 0.0:  # stage target dominates
             bt_ok = bt_ok and c_t <= 1e-12

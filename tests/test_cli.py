@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -144,8 +145,12 @@ def test_solve_rejects_unknown_key(tmp_path):
 def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     import scipy.sparse.linalg as spla
 
+    import dhym.solver as solver
+    from dhym.errors import SolverError
+
     gmres = spla.gmres
-    per_step = []
+    newton_solve = solver.newton_solve
+    attempts = []  # [raised, gmres iterations of each step] per stage attempt
 
     def counting(A, b, **kwargs):
         # gmres reports one pr_norm per iteration to the solver's callback
@@ -157,11 +162,22 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
             callback(pr_norm)
 
         out = gmres(A, b, **dict(kwargs, callback=both))
-        per_step.append(len(seen))
+        attempts[-1][1].append(len(seen))
         return out
 
+    def attempt(*args, **kwargs):
+        attempts.append([False, []])
+        try:
+            return newton_solve(*args, **kwargs)
+        except SolverError:
+            attempts[-1][0] = True
+            raise
+
     monkeypatch.setattr(spla, "gmres", counting)
-    assert main(["solve", _cfg(tmp_path, CONT1)]) == 0
+    monkeypatch.setattr(solver, "newton_solve", attempt)
+    # three Newton steps per stage: the whole path fails and the step halves
+    text = CONT1.replace("tol = 1e-11", "tol = 1e-11\nmax_iters = 3")
+    assert main(["solve", _cfg(tmp_path, text)]) == 0
     report = dict(
         ln.split(" = ") for ln in _strip_timestamp(tmp_path / "out" / "report.txt")
     )
@@ -171,7 +187,11 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     assert stages > 1
     assert [int(r["iteration"]) for r in rows] == list(range(len(rows)))
     assert int(report["newton_iterations"]) == len(rows)
-    # every stage starts with an unstepped row, and no stage attempt failed
+    failed = [steps for raised, steps in attempts if raised]
+    assert int(report["continuity_failed_attempts"]) == len(failed) > 0
+    assert len(attempts) == stages + len(failed)
+    # every stage starts with an unstepped row; failed attempts leave no row
+    per_step = [n for raised, steps in attempts if not raised for n in steps]
     assert len(per_step) == len(rows) - stages
     assert int(report["krylov_iters"]) == sum(per_step)
 
@@ -259,6 +279,21 @@ def test_check_rejects_zero_eps0(tmp_path):
 def test_non_finite_config_number_exits_two(tmp_path, capsys, command, text, name):
     assert main([command, _cfg(tmp_path, text)]) == 2
     assert f"{name} = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["1e308", "1e200"])
+def test_solve_refuses_huge_chi0_without_overflow(tmp_path, capsys, scale):
+    # an n=2 N=8 manufactured run with u_star = 0.1 cos x1
+    text = (
+        MAN1.replace("n = 1\nN = 64", "n = 2\nN = 8")
+        .replace("chi0 = iso 0.2", f"chi0 = iso {scale}")
+        .replace("u_star = 0.3 cos x1", "u_star = 0.1 cos x1")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "chi0" in err and "1e+64" in err
 
 
 def test_check_rejects_unknown_suite(tmp_path):

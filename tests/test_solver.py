@@ -1,11 +1,13 @@
 """Newton-Krylov solver: residual, linearization, manufactured and continuity runs."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from dhym.errors import (
+    BadRange,
     ConfigError,
     LinearSolveStalled,
     MaxItersExceeded,
@@ -15,9 +17,12 @@ from dhym.errors import (
     PhaseOutOfRange,
 )
 from dhym.solver import (
+    FORM_ENTRY_MAX,
     DhymProblem,
     SolverConfig,
     continuity_solve,
+    evaluate_state,
+    linearization_kernel,
     linearized_apply,
     manufactured_problem,
     newton_solve,
@@ -52,6 +57,11 @@ def _simple_problem(g, chi_level=0.3, target=0.3, eps0=0.5):
         target=float(target),
         eps0=eps0,
     )
+
+
+def _varying_chi0(g):
+    x1, y1 = g.axis_coordinate("x1"), g.axis_coordinate("y1")
+    return isotropic_form_field(g, ScalarField(g, 0.5 + 0.2 * np.cos(x1) + 0.1 * np.sin(y1)))
 
 
 def _random_band_limited(g, rng, amp=0.1):
@@ -392,6 +402,33 @@ def test_solver_config_refuses_bad_fields(kw):
         newton_solve(_manufactured_n1(), cfg=SolverConfig(**kw))
 
 
+@pytest.mark.parametrize("name", ["omega", "chi0"])
+def test_problem_bounds_form_entries(name):
+    g = TorusGrid(2, 8)
+    forms = {"omega": identity_metric(g), "chi0": constant_form_field(g, 0.3 * np.eye(2))}
+    # an off-diagonal entry: the closed forms square it
+    forms[name] = constant_form_field(g, forms[name].values[(0,) * 4] + [[0, 2e64], [2e64, 0]])
+    ustar = ScalarField(g, 0.1 * np.cos(g.axis_coordinate("x1")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any product overflows
+        with pytest.raises(BadRange, match=name):
+            DhymProblem(g, forms["omega"], forms["chi0"], 0.5, eps0=0.1)
+        with pytest.raises(BadRange, match=name):
+            manufactured_problem(ustar, forms["omega"], forms["chi0"], eps0=0.1)
+
+
+def test_problem_accepts_form_entries_at_the_bound():
+    g = TorusGrid(2, 8)
+    chi0 = constant_form_field(g, [[0.5, FORM_ENTRY_MAX], [FORM_ENTRY_MAX, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = DhymProblem(g, identity_metric(g), chi0, 0.5, eps0=0.1)
+        state = evaluate_state(ScalarField(g, np.zeros(g.shape)), 0.0, prob)
+        linearization_kernel(state.chi, prob)
+    # eigenvalues 0.5 +- 1e64: the phase is arctan(1e64) + arctan(-1e64) = 0
+    assert abs(state.min_phase) <= 1e-12 and abs(state.max_phase) <= 1e-12
+
+
 @pytest.mark.parametrize("eps0,target", [(float("nan"), 0.3), (0.5, float("nan"))])
 def test_problem_refuses_nan(eps0, target):
     with pytest.raises(PhaseOutOfRange):
@@ -518,8 +555,7 @@ def test_continuation_stages_reuse_the_problem_planes(monkeypatch):
     import dhym.torus as torus
 
     g = TorusGrid(2, 8)
-    omega = identity_metric(g)
-    chi0 = isotropic_form_field(g, ScalarField(g, 0.5 + 0.2 * np.cos(g.axis_coordinate("x1"))))
+    omega, chi0 = identity_metric(g), _varying_chi0(g)
     prob = DhymProblem(g, omega, chi0, hat_theta(omega, chi0).hat_theta, eps0=0.2)
 
     calls = []
@@ -534,7 +570,8 @@ def test_continuation_stages_reuse_the_problem_planes(monkeypatch):
         wrapper = counting(name, getattr(torus, name))
         monkeypatch.setattr(torus, name, wrapper)
         monkeypatch.setattr(solver, name, wrapper)
-    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
+    # four Newton steps per stage: the whole path fails and the step halves
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
     assert rep.converged and len(rep.continuity_trace) > 2
     # every stage problem shares the parent's planes and its omega check
     assert calls == []
@@ -650,13 +687,43 @@ def test_continuity_iterates_carry_their_stage():
     om = identity_metric(g)
     chi0 = isotropic_form_field(g, ScalarField(g, 0.5 + 0.2 * np.cos(x)))
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.25)
-    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
+    # three Newton steps per stage: the path halves, then doubles again
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=3))
     stages = rep.continuity_trace[1:]
     assert rep.converged and len(stages) > 1
     # each stage records its starting state, then one state per Newton step
     expected = [(t, c_t, j) for t, c_t, iters in stages for j in range(iters + 1)]
     assert [(it.t, it.c) for it in rep.iterates] == [(t, c_t) for t, c_t, _ in expected]
     assert [it.step == 0.0 for it in rep.iterates] == [j == 0 for _, _, j in expected]
+
+
+def test_continuity_takes_the_whole_path_in_one_stage():
+    # continuation-n2's chi0 shape at N=8: diagonal modes along x1 and x2,
+    # a complex off-diagonal mode along y1
+    g = TorusGrid(2, 8)
+    x1, y1, x2 = (g.axis_coordinate(a) for a in ("x1", "y1", "x2"))
+    vals = np.zeros(g.shape + (2, 2), dtype=complex)
+    vals[..., 0, 0] = 0.5 + 0.2 * np.cos(x1)
+    vals[..., 1, 1] = 0.5 + 0.15 * np.cos(x2)
+    vals[..., 0, 1] = np.exp(0.7j) * 0.05 * np.cos(y1)
+    vals[..., 1, 0] = np.conj(vals[..., 0, 1])
+    om, chi0 = identity_metric(g), HermitianFormField(g, vals)
+    prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.2)
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.converged and rep.failed_attempts == []
+    assert len(rep.continuity_trace) == 2
+    assert len(rep.iterates) - 1 <= 5  # Newton steps
+    assert abs(rep.c) <= 1e-12
+
+
+def test_continuity_records_failed_attempts():
+    g = TorusGrid(2, 8)
+    om, chi0 = identity_metric(g), _varying_chi0(g)
+    prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.2)
+    rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
+    assert rep.converged
+    assert rep.failed_attempts == [(1.0, "MaxItersExceeded")]
+    assert [t for t, _, _ in rep.continuity_trace] == [0.0, 0.5, 1.0]
 
 
 def test_continuity_multi_start_uniqueness():
