@@ -41,7 +41,7 @@ from .runconfig import RunConfig, load_config, parse_form_spec, parse_grid, pars
 from .solver import (
     DhymProblem,
     SolverConfig,
-    _bounded_planes,
+    _check_bounded,
     continuity_solve,
     manufactured_problem,
     newton_solve,
@@ -54,7 +54,6 @@ from .surfaces import (
     trace_formula,
 )
 from .torus import (
-    HermitianFormField,
     ScalarField,
     TorusGrid,
     _fft_workers,
@@ -100,8 +99,7 @@ def _build_problem(cfg: RunConfig) -> DhymProblem:
         target: ScalarField | float = value
     elif kind == "hat-theta":
         # bound the entries first, or the averaged angle's density overflows
-        _bounded_planes(omega, "omega")
-        _bounded_planes(chi0, "chi0")
+        _check_bounded(omega=omega.planes, chi0=chi0.planes)
         target = hat_theta(omega, chi0).hat_theta
     elif kind == "field":
         path = cfg.require("target", "path")
@@ -329,10 +327,7 @@ def _suite_invariance(samples: int, rng, grid_n: int, grid_N: int) -> list[dict]
                 vals = vals + rng.uniform(-0.2, 0.2) * np.cos(
                     freq * coord + rng.uniform(0, 2 * np.pi)
                 )
-        v = ScalarField(grid, vals)
-        chi = HermitianFormField(
-            grid, chi0.values + i_ddbar(v).values, _symmetrized=True
-        )
+        chi = chi0 + i_ddbar(ScalarField(grid, vals))
         delta = abs(hat_theta(omega, chi).hat_theta - base)
         worst = max(worst, delta)
         if delta > 1e-10:

@@ -4,7 +4,8 @@ Layout (little-endian): magic "DHYM" (4 bytes), version u32 = 1, kind u8
 (0 = scalar, 1 = hermitian-form), n u8, N u32, then the payload.  Scalar
 payload: N^(2n) float64 row-major over (x1, y1, x2, y2).  Hermitian-form
 payload: per grid point n^2 complex128 values (interleaved re, im) row-major
-in the matrix indices (i, j).  Writing then reading a field is bit-exact.
+in the matrix indices (i, j).  A form field is converted to and from its
+real planes here, at I/O only.  Writing then reading a field is bit-exact.
 """
 
 from __future__ import annotations
@@ -70,5 +71,5 @@ def read_field(path) -> ScalarField | HermitianFormField:
         if asym > ASYMMETRY_RTOL * float(np.max(np.abs(vals))):
             raise ConfigError(f"{path}: form payload is not Hermitian (asymmetry {asym:.3e})")
         # an exact payload keeps its bits: symmetrizing can flip signed zeros
-        return HermitianFormField(grid, vals.copy(), _symmetrized=asym == 0.0)
+        return HermitianFormField(grid, vals, _symmetrized=asym == 0.0)
     raise ConfigError(f"{path}: unknown field kind {kind}")

@@ -14,19 +14,20 @@ reached by an adaptive continuation from the initial phase field: its first
 attempt is the whole path (DT_MAX = 1), and it halves the step only when a
 stage fails.
 
-The solver state is plane-native: omega, chi0 and each trial form
-chi = chi0 + i ddbar u are carried as their n^2 real planes (torus plane
-order; a spatially constant omega or chi0 is one point), and the phase and
-the kernel weight planes come in closed form from them.  No (..., n, n)
-complex array is built on the solve path.  Entries of omega and chi0 are
-bounded by FORM_ENTRY_MAX, checked once when a problem is built, so that
-the closed forms cannot overflow.
+The solver state is plane-native: a DhymProblem holds omega and chi0 as
+HermitianFormFields, whose only data are their n^2 real planes (a form
+equal at every point is one point), and each trial form
+chi = chi0 + i ddbar u is n^2 planes; the phase and the kernel weight
+planes come in closed form from them.  No (..., n, n) complex array is
+built on the solve path.  Entries of omega and chi0, and of the potentials
+u_star and u0, are bounded by FORM_ENTRY_MAX, checked before any transform,
+so that the closed forms cannot overflow.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -46,10 +47,10 @@ from .torus import (
     ScalarField,
     TorusGrid,
     _check_metric_positive,
-    _form_planes,
     _hessian_planes,
     _kernel_weights,
     _phase_planes,
+    _plus_hessian,
     inverse_laplacian_quarter,
 )
 
@@ -59,23 +60,22 @@ FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
 FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
-# Largest |entry| of omega or chi0 a problem accepts.  At n=2, |det|^2 in
-# the kernel weights is quartic in the entries and overflows near 1e77; the
-# bound leaves the solve's forms chi0 + i ddbar u room to grow.
+# Largest |entry| of omega, chi0 or a potential (u_star, u0) that a solve
+# accepts.  At n=2, |det|^2 in the kernel weights is quartic in the form
+# entries and overflows near 1e77; the bound leaves chi0 + i ddbar u room.
 FORM_ENTRY_MAX = 1e64
 
 
-def _bounded_planes(form: HermitianFormField, name: str) -> np.ndarray:
-    """The planes of a problem's form (torus._form_planes); raises BadRange,
-    naming the form, if an entry exceeds FORM_ENTRY_MAX in magnitude."""
-    planes = _form_planes(form)
-    peak = max(float(planes.max()), -float(planes.min()))  # no |planes| temporary
-    if not peak <= FORM_ENTRY_MAX:
-        raise BadRange(
-            f"{name} has an entry of magnitude {peak:.3g}, above the supported "
-            f"{FORM_ENTRY_MAX:g}"
-        )
-    return planes
+def _check_bounded(**fields: np.ndarray) -> None:
+    """Raise BadRange, naming the field, if an entry of a field's values (a
+    form's planes or a potential) exceeds FORM_ENTRY_MAX in magnitude."""
+    for name, values in fields.items():
+        peak = max(float(values.max()), -float(values.min()))  # no |values| temporary
+        if not peak <= FORM_ENTRY_MAX:
+            raise BadRange(
+                f"{name} has an entry of magnitude {peak:.3g}, above the supported "
+                f"{FORM_ENTRY_MAX:g}"
+            )
 
 
 @dataclass(eq=False)
@@ -86,33 +86,27 @@ class DhymProblem:
     stay in [(n-2) pi/2 + eps0, n pi/2) pointwise.  omega is checked
     positive-definite here, once, and the entries of omega and chi0 are
     checked against FORM_ENTRY_MAX; the solver's state evaluations and
-    kernels rely on these checks.  The problem keeps omega and chi0 only as
-    their real planes (omega_planes, chi0_planes; see torus._form_planes),
-    each of shape (n^2,) + grid, or (n^2,) + (1,) * 2n for a form that is
-    the same at every point.
+    kernels rely on these checks and read only the forms' planes.
     """
 
     grid: TorusGrid
-    omega: InitVar[HermitianFormField]
-    chi0: InitVar[HermitianFormField]
+    omega: HermitianFormField
+    chi0: HermitianFormField
     target: ScalarField | float
     eps0: float
-    omega_planes: np.ndarray = field(init=False, repr=False)
-    chi0_planes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, omega: HermitianFormField, chi0: HermitianFormField):
+    def __post_init__(self):
         if not self.eps0 > 0.0:  # so that NaN fails too
             raise PhaseOutOfRange(f"eps0={self.eps0:.6g} must be positive")
-        for f in (omega, chi0):
+        for f in (self.omega, self.chi0):
             if f.grid != self.grid:
                 raise DimensionMismatch("form fields live on a different grid")
-        self.omega_planes = _bounded_planes(omega, "omega")
-        self.chi0_planes = _bounded_planes(chi0, "chi0")
-        _check_metric_positive(omega.values, self.grid.n)
+        _check_bounded(omega=self.omega.planes, chi0=self.chi0.planes)
+        _check_metric_positive(self.omega.planes, self.grid.n)
         self._check_target()
 
     def with_target(self, target: ScalarField | float) -> DhymProblem:
-        """This problem with another target.  The planes are shared, and
+        """This problem with another target.  The forms are shared, and
         omega is not checked again."""
         other = copy.copy(self)
         other.target = target
@@ -219,19 +213,11 @@ class StateEval:
     max_phase: float
 
 
-def _form_with_hessian(chi0_planes: np.ndarray, u_values: np.ndarray, grid: TorusGrid):
-    """Planes of chi0 + i ddbar u: one forward and n^2 inverse transforms."""
-    chi = np.empty((grid.n ** 2,) + grid.shape)
-    for base, hess, out in zip(chi0_planes, _hessian_planes(u_values, grid), chi):
-        np.add(base, hess, out=out)
-    return chi
-
-
 def evaluate_state(u: ScalarField, c: float, prob: DhymProblem) -> StateEval:
     """Build the planes of chi0 + i ddbar u once and derive the residual and
     phase range from them."""
-    chi = _form_with_hessian(prob.chi0_planes, u.values, prob.grid)
-    theta = _phase_planes(prob.omega_planes, chi, prob.grid.n)
+    chi = _plus_hessian(prob.chi0.planes, u.values, prob.grid)
+    theta = _phase_planes(prob.omega.planes, chi, prob.grid.n)
     res = theta - prob.target_values()
     res -= c  # in place: one plane less at the peak
     res = ScalarField(prob.grid, res)
@@ -259,7 +245,7 @@ def linearization_kernel(chi: np.ndarray, prob: DhymProblem) -> np.ndarray:
     the planes [K_jj for each j, then 2 Re K_jk and 2 Im K_jk for each j < k]
     pair one to one with the Hessian planes of v (torus._hessian_planes).
     """
-    return _kernel_weights(prob.omega_planes, chi, prob.grid.n)
+    return _kernel_weights(prob.omega.planes, chi, prob.grid.n)
 
 
 def apply_linearized(
@@ -304,15 +290,15 @@ def manufactured_problem(
 
     The target is the discrete phase field of chi0 + i ddbar u_star, from
     the same planes and formulas as evaluate_state; raises PhaseOutOfRange
-    if that field leaves the admissible band.  The entries of omega and chi0
-    are bounded before the target is computed; the DhymProblem checks that
-    omega is positive-definite.
+    if that field leaves the admissible band.  The entries of omega, chi0
+    and u_star are bounded before the target is computed; the DhymProblem
+    checks that omega is positive-definite.
     """
     grid = u_star.grid
-    omega_planes = _bounded_planes(omega, "omega")
-    chi = _form_with_hessian(_bounded_planes(chi0, "chi0"), u_star.values, grid)
-    target = ScalarField(grid, _phase_planes(omega_planes, chi, grid.n))
-    del chi  # freed before the problem converts omega and chi0
+    _check_bounded(omega=omega.planes, chi0=chi0.planes, u_star=u_star.values)
+    chi = _plus_hessian(chi0.planes, u_star.values, grid)
+    target = ScalarField(grid, _phase_planes(omega.planes, chi, grid.n))
+    del chi  # freed before the problem is built
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
 
@@ -410,6 +396,7 @@ def newton_solve(
     grid = prob.grid
     if u0 is None:
         u0 = ScalarField(grid, np.zeros(grid.shape))
+    _check_bounded(u0=u0.values)
     u_vals = u0.values - u0.values.mean()
     c = 0.0
     floor = prob.phase_floor
@@ -495,7 +482,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     h_hat = float(prob.target)
     # a constant omega and chi0 give a one-point phase; spread it over the grid
     theta0 = np.broadcast_to(
-        _phase_planes(prob.omega_planes, prob.chi0_planes, grid.n), grid.shape
+        _phase_planes(prob.omega.planes, prob.chi0.planes, grid.n), grid.shape
     )
     if theta0.min() < prob.phase_floor + prob.eps0 - 1e-12:
         raise PhaseFloorViolated("initial phase field is not supercritical")

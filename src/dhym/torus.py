@@ -3,36 +3,34 @@
 A torus of complex dimension n (1 or 2) is discretized with N points per
 real axis and period 2 pi, using real coordinates ordered (x1, y1, x2, y2)
 and complex coordinates z_j = x_j + i y_j.  Scalar fields are real arrays on
-the grid; Hermitian-form fields carry an n x n Hermitian matrix per point.
+the grid.  A Hermitian-form field is held only as its n^2 real planes: a_jj
+for each j, then Re a_jk and Im a_jk for each j < k; a form equal at every
+point collapses to one point, which broadcasts.  Its (..., n, n) values
+are materialized on demand, for file output and the eigenvalue reference.
 
 The complex Hessian operator i ddbar is realized with Fourier multipliers
 on the half spectrum of real-to-complex transforms (fftn/ifftn below are the
 rfftn/irfftn pair).  One forward transform of a real field u gives its n^2
-real Hessian planes: u_{j jbar} for each j, then Re u_{j kbar} and
-Im u_{j kbar} for each j < k; each plane is the inverse transform of a real,
-even symbol times the half spectrum.  The symbols are products of per-axis
-wavenumber vectors, which are cached.
+real Hessian planes, in the plane order above; each plane is the inverse
+transform of a real, even symbol times the half spectrum.  The symbols are
+products of per-axis wavenumber vectors, which are cached.
 
 The phase, its linearization kernel and the averaged angle all derive from
 the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
 Arg det(omega + i chi), the kernel (omega + chi omega^-1 chi)^-1 is the
 Hermitian part of (omega + i chi)^-1, and the averaged angle integrates the
-density det(omega + i chi) with an explicit branch lift.  The public
-functions take HermitianFormField pairs.  The solver instead carries every
-form as its n^2 real planes, in the plane order of the Hessian planes
-(_form_planes; a spatially constant form collapses to one point), and takes
-the determinant, the phase and the kernel weight planes in closed form from
-them (_det_planes, _phase_planes, _kernel_weights), so no (..., n, n)
-complex array is built on its path.  The kernel's weight planes pair with
-the Hessian planes, so the matvec tr(K i ddbar v) never builds a complex
-Hessian either.
+density det(omega + i chi) with an explicit branch lift.  All three come in
+closed form from the planes of omega and chi (_det_planes, _phase_planes,
+_kernel_weights), for the public functions and the solver alike.  The
+kernel's weight planes pair with the Hessian planes, so the matvec
+tr(K i ddbar v) never builds a complex Hessian either.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
@@ -130,48 +128,111 @@ class ScalarField:
         return float(self.values.mean())
 
 
-@dataclass
-class HermitianFormField:
-    """Field of n x n Hermitian matrices over a torus grid.
+# (j, k, part) of each form plane in plane order, part 0 for Re and 1 for Im:
+# a_jj for each j, then Re a_jk and Im a_jk for each j < k (see _hessian_planes)
+_PLANE_ENTRIES = {1: ((0, 0, 0),), 2: ((0, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1))}
 
-    Values are checked finite and symmetrized unless the caller passes
-    _symmetrized=True for an array that is Hermitian by construction.
+
+def _collapsed(planes: np.ndarray, n: int) -> np.ndarray:
+    """The first point of planes (grid axes last), shape (..., 1, ..., 1), if
+    every point holds its bits; else planes.  The far corner is compared
+    first, so a varying field is told apart without the full compare."""
+    first = planes[(Ellipsis,) + (slice(0, 1),) * (2 * n)]
+    corner = planes[(Ellipsis,) + (slice(-1, None),) * (2 * n)]
+    first_bits = first.view(np.uint64)
+    if np.array_equal(corner.view(np.uint64), first_bits) and np.all(
+        planes.view(np.uint64) == first_bits
+    ):
+        return first.copy()
+    return planes
+
+
+class HermitianFormField:
+    """Field of n x n Hermitian matrices over a torus grid, held as n^2 real planes.
+
+    planes has shape (n^2,) + grid.shape, in plane order: a_jj for each j,
+    then Re a_jk and Im a_jk for each j < k (see _hessian_planes).  A form
+    whose planes hold the same bits at every point is collapsed to shape
+    (n^2,) + (1,) * 2n, which broadcasts against full planes; equal bits,
+    not equal values, so that values (and a file written from them) keep
+    every signed zero.
+
+    The constructor takes (..., n, n) values, checks them finite and
+    symmetrizes them.  With _symmetrized=True the caller asserts that the
+    values are Hermitian: nothing is checked, and only the real part of the
+    diagonal and the upper triangle are read.  values materializes the
+    (..., n, n) array on demand; for a collapsed form it is a read-only
+    broadcast view.
     """
 
-    grid: TorusGrid
-    values: np.ndarray
-    _symmetrized: bool = field(default=False, repr=False)
-
-    def __post_init__(self):
-        want = self.grid.shape + (self.grid.n, self.grid.n)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != want:
-            raise DimensionMismatch(
-                f"form field shape {self.values.shape} != expected {want}"
-            )
-        if not self._symmetrized:
-            if not np.all(np.isfinite(self.values)):
+    def __init__(self, grid: TorusGrid, values, _symmetrized: bool = False):
+        n = grid.n
+        want = grid.shape + (n, n)
+        values = np.asarray(values, dtype=complex)
+        if values.shape != want:
+            raise DimensionMismatch(f"form field shape {values.shape} != expected {want}")
+        if not _symmetrized:
+            if not np.all(np.isfinite(values)):
                 raise DimensionMismatch("form field values must be finite")
-            self.values = symmetrize(self.values)
+            values = symmetrize(values)
+        self.grid = grid
+        self.planes = _collapsed(_planes_of(values, n), n)
+
+    @classmethod
+    def _of_planes(cls, grid: TorusGrid, planes: np.ndarray) -> HermitianFormField:
+        """The form with these planes (full or collapsed), collapsed if constant."""
+        form = cls.__new__(cls)
+        form.grid = grid
+        form.planes = _collapsed(planes, grid.n)
+        return form
+
+    @property
+    def values(self) -> np.ndarray:
+        """(..., n, n) values: Re and Im written through a float view, the
+        diagonal's imaginary part +0.0 and each lower entry conj(upper)."""
+        n = self.grid.n
+        shape = self.planes.shape[1:]
+        out = np.zeros(shape + (n, n), dtype=complex)
+        parts = out.view(float).reshape(shape + (n, n, 2))
+        for plane, (j, k, part) in zip(self.planes, _PLANE_ENTRIES[n]):
+            parts[..., j, k, part] = plane
+            if j != k:
+                parts[..., k, j, part] = -plane if part else plane
+        if shape != self.grid.shape:
+            return np.broadcast_to(out, self.grid.shape + (n, n))
+        return out
+
+    def __add__(self, other: HermitianFormField) -> HermitianFormField:
+        if not isinstance(other, HermitianFormField):
+            return NotImplemented
+        if other.grid != self.grid:
+            raise DimensionMismatch("form fields live on different grids")
+        return HermitianFormField._of_planes(self.grid, self.planes + other.planes)
+
+
+def _planes_of(values: np.ndarray, n: int) -> np.ndarray:
+    """The n^2 real planes of Hermitian (..., n, n) values, in plane order."""
+    real, imag = values.real, values.imag
+    return np.stack([(imag if part else real)[..., j, k] for j, k, part in _PLANE_ENTRIES[n]])
 
 
 def constant_form_field(grid: TorusGrid, matrix) -> HermitianFormField:
-    """Spatially constant Hermitian-form field."""
+    """Spatially constant Hermitian-form field, held as one point."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (grid.n, grid.n):
         raise DimensionMismatch(f"matrix shape {m.shape} != ({grid.n}, {grid.n})")
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch("form matrix entries must be finite")
-    m = symmetrize(m)
-    vals = np.broadcast_to(m, grid.shape + m.shape).copy()
-    return HermitianFormField(grid, vals, _symmetrized=True)
+    point = symmetrize(m).reshape((1,) * (2 * grid.n) + m.shape)
+    return HermitianFormField._of_planes(grid, _planes_of(point, grid.n))
 
 
 def isotropic_form_field(grid: TorusGrid, scale: ScalarField) -> HermitianFormField:
-    """Field s(x) * Id for a scalar field s."""
-    eye = np.eye(grid.n, dtype=complex)
-    vals = scale.values[..., None, None] * eye
-    return HermitianFormField(grid, vals, _symmetrized=True)
+    """Field s(x) * Id for a scalar field s; one point if s is constant."""
+    s = _collapsed(scale.values, grid.n)
+    planes = np.zeros((grid.n ** 2,) + s.shape)
+    planes[: grid.n] = s
+    return HermitianFormField._of_planes(grid, planes)
 
 
 def identity_metric(grid: TorusGrid) -> HermitianFormField:
@@ -254,30 +315,20 @@ def _hessian_planes(values: np.ndarray, grid: TorusGrid, preconditioned: bool = 
             yield ifftn(-0.25 * (kxj * kyk - kyj * kxk) * uhat, grid.shape)
 
 
-def _from_planes(planes, grid: TorusGrid) -> np.ndarray:
-    """(..., n, n) Hermitian values from n^2 real planes in plane order
-    (a_jj for each j, then Re a_jk and Im a_jk for each j < k)."""
-    n = grid.n
-    planes = iter(planes)
-    values = np.empty(grid.shape + (n, n), dtype=complex)
-    for j in range(n):
-        values[..., j, j] = next(planes)
-    for j in range(n):
-        for k in range(j + 1, n):
-            entry = next(planes) + 1j * next(planes)
-            values[..., j, k] = entry
-            values[..., k, j] = np.conj(entry)
-    return values
+def _plus_hessian(base: np.ndarray, u_values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Planes of base + i ddbar u, for form planes base (full or collapsed):
+    one forward and n^2 inverse transforms."""
+    out = np.empty((grid.n ** 2,) + grid.shape)
+    for base_plane, hess, plane in zip(base, _hessian_planes(u_values, grid), out):
+        np.add(base_plane, hess, out=plane)
+    return out
 
 
 def i_ddbar(u: ScalarField) -> HermitianFormField:
-    """Complex Hessian u_{j kbar} of a scalar potential, spectrally.
-
-    Assembled from the real Hessian planes (_hessian_planes); the output is
-    Hermitian per point by construction.
-    """
-    values = _from_planes(_hessian_planes(u.values, u.grid), u.grid)
-    return HermitianFormField(u.grid, values, _symmetrized=True)
+    """Complex Hessian u_{j kbar} of a scalar potential, spectrally: the form
+    whose planes are the Hessian planes (_hessian_planes)."""
+    zero = np.zeros((u.grid.n ** 2,) + (1,) * (2 * u.grid.n))
+    return HermitianFormField._of_planes(u.grid, _plus_hessian(zero, u.values, u.grid))
 
 
 def _laplacian_quarter_symbol(grid: TorusGrid) -> np.ndarray:
@@ -313,28 +364,28 @@ def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_metric_positive(omega: np.ndarray, n: int) -> None:
-    """Raise NotPositiveDefinite at the first non-finite or too small pivot."""
-    p = omega[..., 0, 0].real
+def _check_metric_positive(w: np.ndarray, n: int) -> None:
+    """Raise NotPositiveDefinite at the first point of omega's planes w where
+    a Cholesky pivot is not a finite value above CHOLESKY_PIVOT_MIN: w00, then
+    at n=2 w11 - (wr^2 + wi^2) / w00.  A collapsed omega is one point."""
+    p = w[0]
     bad = ~(np.isfinite(p) & (p > CHOLESKY_PIVOT_MIN))
     if n == 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = omega[..., 1, 1].real - np.abs(omega[..., 0, 1]) ** 2 / p
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d2 = w[1] - (w[2] * w[2] + w[3] * w[3]) / p
         bad |= ~(np.isfinite(d2) & (d2 > CHOLESKY_PIVOT_MIN))
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NotPositiveDefinite(f"metric not positive-definite at grid index {idx}")
 
 
-def _complex_form(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
-    """omega + i chi pointwise.
-
-    omega is not checked here: the public functions below check it on every
-    call.  The solver does not use it; it works on planes (_form_planes).
-    """
+def _pencil_planes(omega: HermitianFormField, chi: HermitianFormField):
+    """The planes of omega and chi, once they share a grid and omega passes
+    _check_metric_positive (on every call: a constant omega is one point)."""
     if chi.grid != omega.grid:
         raise DimensionMismatch("omega and chi live on different grids")
-    return omega.values + 1j * chi.values
+    _check_metric_positive(omega.planes, omega.grid.n)
+    return omega.planes, chi.planes
 
 
 def pencil_eigenvalues(omega: HermitianFormField, chi: HermitianFormField):
@@ -344,47 +395,10 @@ def pencil_eigenvalues(omega: HermitianFormField, chi: HermitianFormField):
     array of shape grid.shape + (n,).
     """
     grid = omega.grid
-    if chi.grid != grid:
-        raise DimensionMismatch("omega and chi live on different grids")
-    _check_metric_positive(omega.values, grid.n)
+    _pencil_planes(omega, chi)
     flat = (-1, grid.n, grid.n)
     vals, _ = eig_pair_batch(omega.values.reshape(flat), chi.values.reshape(flat))
     return vals.reshape(grid.shape + (grid.n,))
-
-
-def _det(values: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return values[..., 0, 0]
-    return (
-        values[..., 0, 0] * values[..., 1, 1]
-        - values[..., 0, 1] * values[..., 1, 0]
-    )
-
-
-def _density(omega: HermitianFormField, chi: HermitianFormField) -> np.ndarray:
-    """det(omega + i chi) pointwise, omega unchecked (see _complex_form)."""
-    return _det(_complex_form(omega, chi), omega.grid.n)
-
-
-def _form_planes(form: HermitianFormField) -> np.ndarray:
-    """The n^2 real planes of a form field in plane order, shape (n^2,) + grid.
-
-    The planes are a_jj for each j, then Re a_jk and Im a_jk for each
-    j < k (see _hessian_planes).  A form whose values are equal at every
-    grid point collapses to shape (n^2,) + (1,) * 2n, which broadcasts
-    against full planes; equality of values decides, not the strides, so a
-    constant form stored as a full array collapses too.
-    """
-    n = form.grid.n
-    values = form.values
-    first = values[(0,) * (2 * n)]
-    if np.all(values == first):
-        values = first.reshape((1,) * (2 * n) + (n, n))
-    planes = [values[..., j, j].real for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            planes += [values[..., j, k].real, values[..., j, k].imag]
-    return np.stack(planes)
 
 
 def _det_planes(w: np.ndarray, c: np.ndarray, n: int):
@@ -392,7 +406,7 @@ def _det_planes(w: np.ndarray, c: np.ndarray, n: int):
 
     n=1: w00 + i c00.  n=2: Re det = (w00 w11 - |w01|^2) - (c00 c11 - |c01|^2)
     and Im det = w00 c11 + c00 w11 - 2 (Re w01 Re c01 + Im w01 Im c01).
-    Either argument may be collapsed (see _form_planes).  At n=2 the
+    Either argument may be collapsed (see HermitianFormField).  At n=2 the
     results are new arrays of the broadcast shape; at n=1 they are the
     argument planes themselves, so callers must not write to them.
     """
@@ -455,8 +469,8 @@ def _kernel_weights(w: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
 def theta_field(omega: HermitianFormField, chi: HermitianFormField) -> ScalarField:
     """Pointwise phase sum(arctan(lambda_i)) of the pencil (omega, chi), as
     Arg det(omega + i chi); det omega > 0 and n <= 2 keep it in (-pi, pi)."""
-    _check_metric_positive(omega.values, omega.grid.n)
-    return ScalarField(omega.grid, np.angle(_density(omega, chi)))
+    re, im = _det_planes(*_pencil_planes(omega, chi), omega.grid.n)
+    return ScalarField(omega.grid, np.arctan2(im, re, out=np.empty(omega.grid.shape)))
 
 
 def eta_inverse_values(
@@ -465,16 +479,15 @@ def eta_inverse_values(
     """(omega + chi omega^-1 chi)^-1 pointwise, the linearization kernel.
 
     The Hermitian part of (omega + i chi)^-1: by Jacobi's formula the phase
-    derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).  It is
-    assembled from the solver's weight planes (_kernel_weights).
+    derivative along a Hermitian h is Re tr((omega + i chi)^-1 h).  These
+    are the values of the form whose planes are the solver's weight planes
+    (_kernel_weights) with the off-diagonal ones halved; for a constant
+    pair, a read-only broadcast view.
     """
     n = omega.grid.n
-    if chi.grid != omega.grid:
-        raise DimensionMismatch("omega and chi live on different grids")
-    _check_metric_positive(omega.values, n)
-    planes = _kernel_weights(_form_planes(omega), _form_planes(chi), n)
+    planes = _kernel_weights(*_pencil_planes(omega, chi), n)
     planes[n:] *= 0.5
-    return _from_planes(planes, omega.grid)
+    return HermitianFormField._of_planes(omega.grid, planes).values
 
 
 def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult:
@@ -486,10 +499,11 @@ def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult
     values are not confined to (-pi, pi].
     """
     grid = omega.grid
-    _check_metric_positive(omega.values, grid.n)
-    density = _density(omega, chi)
-    theta = np.angle(density)
-    z = np.sum(density) * grid.cell_volume
+    planes = _pencil_planes(omega, chi)
+    # a collapsed density stands for every grid point: sum its broadcast
+    re, im = (np.broadcast_to(a, grid.shape) for a in _det_planes(*planes, grid.n))
+    theta = np.arctan2(im, re)
+    z = complex(re.sum(), im.sum()) * grid.cell_volume
     principal = float(np.angle(z))
     center = float(theta.mean())
     winding = np.round((center - principal) / TWO_PI)

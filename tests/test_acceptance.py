@@ -242,8 +242,7 @@ def test_criterion_05_angle_invariance():
         basis = np.stack(basis)
         for _ in range(100):
             vals = np.tensordot(rng.uniform(-0.2, 0.2, basis.shape[0]), basis, 1)
-            chiv = i_ddbar(ScalarField(grid, vals)).values + chi0.values
-            shifted = hat_theta(omega, HermitianFormField(grid, chiv, _symmetrized=True))
+            shifted = hat_theta(omega, chi0 + i_ddbar(ScalarField(grid, vals)))
             worst = max(worst, abs(shifted.hat_theta - base.hat_theta))
     ok = worst <= 1e-10
     _report(
@@ -253,6 +252,35 @@ def test_criterion_05_angle_invariance():
         ok,
         f"max |angle shift| over 100 Hessian perturbations per n: {worst:.2e}",
     )
+
+
+def test_angle_shifts_off_kahler_metrics():
+    """The averaged angle is a class invariant only when ddbar omega = 0.
+
+    At n=2 the conformal metric e^f Id with non-constant f is not Kahler,
+    and acceptance-05-style Hessian perturbations move hat_theta by far
+    more than round-off; on the identity metric they do not.
+    """
+    grid = TorusGrid(2, 16)
+    f = 0.5 * np.cos(grid.axis_coordinate("x1")) + 0.3 * np.sin(grid.axis_coordinate("x2"))
+    conformal = isotropic_form_field(grid, ScalarField(grid, np.exp(f)))
+    chi0 = constant_form_field(grid, 0.4 * np.eye(2))
+    basis = np.stack([
+        trig(freq * grid.axis_coordinate(axis))
+        for axis in grid.axis_names for freq in (1, 2) for trig in (np.cos, np.sin)
+    ])
+    rng = np.random.default_rng(5)
+    perturbations = []
+    for _ in range(5):
+        vals = np.tensordot(rng.uniform(-0.2, 0.2, basis.shape[0]), basis, 1)
+        perturbations.append(chi0 + i_ddbar(ScalarField(grid, vals)))
+
+    def shifts(omega):
+        base = hat_theta(omega, chi0).hat_theta
+        return [abs(hat_theta(omega, chi).hat_theta - base) for chi in perturbations]
+
+    assert min(shifts(conformal)) > 1e-4
+    assert max(shifts(identity_metric(grid))) <= 1e-10
 
 
 def test_criterion_06_manufactured_solutions():

@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior."""
 
 import csv
+import struct
 import warnings
 
 import numpy as np
@@ -296,6 +297,23 @@ def test_solve_refuses_huge_chi0_without_overflow(tmp_path, capsys, scale):
     assert "chi0" in err and "1e+64" in err
 
 
+@pytest.mark.parametrize("key", ["u_star", "u0"])
+def test_solve_refuses_huge_potential_without_overflow(tmp_path, capsys, key):
+    # an n=2 N=8 manufactured run on id and iso 0.3 with one huge potential
+    potentials = {"u_star": "0.1 cos x1", "u0": "0"}
+    potentials[key] = "1e308 cos x1"
+    text = (
+        MAN1.replace("n = 1\nN = 64", "n = 2\nN = 8")
+        .replace("chi0 = iso 0.2", "chi0 = iso 0.3")
+        .replace("u_star = 0.3 cos x1", "\n".join(f"{k} = {v}" for k, v in potentials.items()))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert f"BadRange: {key} has an entry" in err and "1e+64" in err
+
+
 def test_check_rejects_unknown_suite(tmp_path):
     text = CHECK.format(suite="wat", samples=10, extra="", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
@@ -469,13 +487,15 @@ def test_angle_from_field_files(tmp_path, capsys):
 
 def test_angle_rejects_non_hermitian_field_file(tmp_path, capsys):
     from dhym.fieldio import write_field
-    from dhym.torus import HermitianFormField, TorusGrid, constant_form_field, identity_metric
+    from dhym.torus import TorusGrid, constant_form_field, identity_metric
 
     g = TorusGrid(2, 8)
-    vals = constant_form_field(g, 0.4 * np.eye(2)).values
+    vals = constant_form_field(g, 0.4 * np.eye(2)).values.copy()
     vals[..., 0, 1] = 0.3  # entry (1, 0) stays 0
     write_field(tmp_path / "om.dhym", identity_metric(g))
-    write_field(tmp_path / "chi.dhym", HermitianFormField(g, vals, _symmetrized=True))
+    # a form field cannot hold this payload: write its bytes directly
+    header = struct.pack("<4sIBBI", b"DHYM", 1, 1, g.n, g.N)
+    (tmp_path / "chi.dhym").write_bytes(header + vals.astype("<c16").tobytes())
     assert main(["angle", str(tmp_path / "om.dhym"), str(tmp_path / "chi.dhym")]) == 2
     assert "chi.dhym" in capsys.readouterr().err
 

@@ -70,6 +70,12 @@ def test_read_rejects_truncated_payload(tmp_path, rng):
         read_field(path)
 
 
+def _write_form_payload(path, g, vals):
+    """A hermitian-form file holding vals as they are (header <4sIBBI)."""
+    header = struct.pack("<4sIBBI", b"DHYM", 1, 1, g.n, g.N)
+    path.write_bytes(header + np.ascontiguousarray(vals, dtype="<c16").tobytes())
+
+
 def test_read_validates_form_payload(tmp_path, rng):
     g = TorusGrid(2, 8)
     path = tmp_path / "chi.dhym"
@@ -78,15 +84,16 @@ def test_read_validates_form_payload(tmp_path, rng):
     write_field(tmp_path / "again.dhym", read_field(path))
     assert (tmp_path / "again.dhym").read_bytes() == path.read_bytes()
 
-    vals = constant_form_field(g, 0.4 * np.eye(2)).values
+    # payloads a form field cannot hold, written byte by byte
+    vals = constant_form_field(g, 0.4 * np.eye(2)).values.copy()
     vals[1, 2, 3, 4, 0, 1] = 0.3  # entry (1, 0) stays 0
-    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    _write_form_payload(path, g, vals)
     with pytest.raises(ConfigError, match=r"chi\.dhym: .*not Hermitian"):
         read_field(path)
 
     vals[1, 2, 3, 4, 0, 1] = 0.0
     vals[5, 0, 0, 1, 1, 1] = np.nan
-    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    _write_form_payload(path, g, vals)
     with pytest.raises(ConfigError, match=r"chi\.dhym: .*non-finite"):
         read_field(path)
 
@@ -94,7 +101,7 @@ def test_read_validates_form_payload(tmp_path, rng):
     vals[5, 0, 0, 1, 1, 1] = 0.4
     vals[..., 0, 1] = 0.1
     vals[..., 1, 0] = 0.1 * (1.0 + 4e-16)
-    write_field(path, HermitianFormField(g, vals, _symmetrized=True))
+    _write_form_payload(path, g, vals)
     back = read_field(path).values
     assert np.array_equal(back, np.conj(np.swapaxes(back, -1, -2)))
     assert np.max(np.abs(back - vals)) <= 1e-16

@@ -1,18 +1,20 @@
 """Memory and path guards of the solver's plane-native state.
 
-The solver carries omega, chi0 and every trial form as n^2 real planes
-(torus._form_planes) and takes the phase and the kernel weight planes in
-closed form from them (tested against LAPACK in test_torus.py).  These
-guards keep the solve path free of complex (..., n, n) arrays; memory is
-counted in real planes of num_points * 8 bytes.
+A HermitianFormField holds only its n^2 real planes, and the solver carries
+every trial form as planes too, taking the phase and the kernel weight
+planes in closed form from them (tested against LAPACK in test_torus.py).
+These guards keep the solve path free of complex (..., n, n) arrays: no
+solve, and no averaged angle from a config, may materialize a form's
+values.  Memory is counted in real planes of num_points * 8 bytes.
 """
 
 import tracemalloc
 
 import numpy as np
 
-import dhym.solver as solver
 import dhym.torus as torus
+from dhym.cli import main
+from dhym.fieldio import write_field
 from dhym.runconfig import parse_form_spec
 from dhym.solver import (
     DhymProblem,
@@ -81,21 +83,15 @@ def test_problem_holds_constant_forms_as_points():
     finally:
         tracemalloc.stop()
     assert held < g.num_points * 8
-    assert prob.omega_planes.shape == prob.chi0_planes.shape == (4, 1, 1, 1, 1)
+    assert prob.omega.planes.shape == prob.chi0.planes.shape == (4, 1, 1, 1, 1)
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("a complex (..., n, n) form was built on the solve path")
+def _refuse(form):
+    raise AssertionError("a complex (..., n, n) form was materialized")
 
 
 def _forbid_complex_forms(monkeypatch):
-    for module, name in (
-        (torus, "_complex_form"),
-        (torus, "_from_planes"),
-        (torus, "i_ddbar"),
-        (solver, "i_ddbar"),
-    ):
-        monkeypatch.setattr(module, name, _refuse, raising=False)
+    monkeypatch.setattr(torus.HermitianFormField, "values", property(_refuse))
 
 
 def _varying_chi0(g):
@@ -119,3 +115,27 @@ def test_continuity_solve_builds_no_complex_form(monkeypatch):
     _forbid_complex_forms(monkeypatch)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
     assert rep.converged and len(rep.continuity_trace) > 1
+
+
+def test_cli_runs_materialize_no_form(tmp_path, monkeypatch, capsys):
+    g = TorusGrid(2, 8)
+    write_field(tmp_path / "chi0.dhym", _varying_chi0(g))
+    body = "[grid]\nn = 2\nN = 8\n[problem]\neps0 = {eps0}\n[solver]\ntol = 1e-11\n"
+    manufactured = tmp_path / "man.cfg"
+    manufactured.write_text(
+        body.format(eps0=0.3)
+        + "[fields]\nomega = id\nchi0 = iso 0.3\nu_star = 0.1 cos x1 + 0.05 cos y2\n"
+        + f"[target]\nkind = manufactured\n[output]\ndir = {tmp_path / 'man'}\n"
+    )
+    continuation = tmp_path / "cont.cfg"
+    continuation.write_text(
+        body.format(eps0=0.2)
+        + f"[fields]\nomega = id\nchi0 = file {tmp_path / 'chi0.dhym'}\n"
+        + f"[target]\nkind = hat-theta\n[output]\ndir = {tmp_path / 'cont'}\n"
+    )
+    _forbid_complex_forms(monkeypatch)
+    assert main(["solve", str(manufactured)]) == 0
+    assert main(["solve", str(continuation)]) == 0
+    assert "method = continuity" in (tmp_path / "cont" / "report.txt").read_text()
+    assert main(["angle", "--config", str(manufactured)]) == 0
+    assert "hat_theta = " in capsys.readouterr().out

@@ -559,21 +559,18 @@ def test_continuation_stages_reuse_the_problem_planes(monkeypatch):
     prob = DhymProblem(g, omega, chi0, hat_theta(omega, chi0).hat_theta, eps0=0.2)
 
     calls = []
+    check = torus._check_metric_positive
 
-    def counting(name, original):
-        def wrapped(*args):
-            calls.append(name)
-            return original(*args)
-        return wrapped
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
 
-    for name in ("_check_metric_positive", "_form_planes"):
-        wrapper = counting(name, getattr(torus, name))
-        monkeypatch.setattr(torus, name, wrapper)
-        monkeypatch.setattr(solver, name, wrapper)
+    monkeypatch.setattr(torus, "_check_metric_positive", counting_check)
+    monkeypatch.setattr(solver, "_check_metric_positive", counting_check)
     # four Newton steps per stage: the whole path fails and the step halves
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
     assert rep.converged and len(rep.continuity_trace) > 2
-    # every stage problem shares the parent's planes and its omega check
+    # every stage problem shares the parent's forms and its omega check
     assert calls == []
 
 

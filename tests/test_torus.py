@@ -9,7 +9,6 @@ from dhym.torus import (
     HermitianFormField,
     ScalarField,
     TorusGrid,
-    _form_planes,
     _kernel_weights,
     _phase_planes,
     constant_form_field,
@@ -325,7 +324,7 @@ def _reference(omega, chi):
 
 def _assert_closed_forms_match(omega, chi):
     n = chi.grid.n
-    w, c = _form_planes(omega), _form_planes(chi)
+    w, c = omega.planes, chi.planes
     phase, kernel = _reference(omega, chi)
     assert np.max(np.abs(_phase_planes(w, c, n) - phase)) <= 1e-12
     got = _kernel_weights(w, c, n)
@@ -337,7 +336,7 @@ def _assert_closed_forms_match(omega, chi):
 def test_plane_closed_forms_match_lapack(n):
     g = TorusGrid(n, 8)
     omega, chi = _random_pencil_fields(g, 70 + n)
-    assert _form_planes(omega).shape == (n * n,) + g.shape
+    assert omega.planes.shape == (n * n,) + g.shape
     _assert_closed_forms_match(omega, chi)
 
 
@@ -346,9 +345,51 @@ def test_constant_omega_collapses_and_matches_lapack(n):
     g = TorusGrid(n, 8)
     _, chi = _random_pencil_fields(g, 80 + n)
     omega = constant_form_field(g, CONSTANT_OMEGA[n])
-    w = _form_planes(omega)
+    w = omega.planes
     assert w.shape == (n * n,) + (1,) * (2 * n)
     _assert_closed_forms_match(omega, chi)
+
+
+def _bits(planes):
+    return planes.view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_plane_storage_round_trip(n):
+    g = TorusGrid(n, 8)
+    _, full = _random_pencil_fields(g, 90 + n)
+    collapsed = constant_form_field(g, CONSTANT_OMEGA[n])
+    x1, yn = g.axis_coordinate("x1"), g.axis_coordinate(f"y{n}")
+    v = ScalarField(g, 0.2 * np.cos(x1) + 0.1 * np.sin(yn))
+    for f in (collapsed, full):
+        back = HermitianFormField(g, f.values)
+        assert back.planes.shape == f.planes.shape
+        assert np.array_equal(_bits(back.planes), _bits(f.planes))
+        vals = f.values
+        assert vals.shape == g.shape + (n, n)
+        assert np.array_equal(vals, np.conj(np.swapaxes(vals, -1, -2)))
+        by_values = HermitianFormField(g, f.values + i_ddbar(v).values, _symmetrized=True)
+        assert np.array_equal(_bits((f + i_ddbar(v)).planes), _bits(by_values.planes))
+    assert collapsed.planes.shape == (n * n,) + (1,) * (2 * n)
+    assert not collapsed.values.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_joint_scaling_keeps_phase_and_scales_kernel(n):
+    """The pencil eigenvalues of (s omega, s chi) do not depend on s, so the
+    closed forms must give the same phase and a kernel scaled by 1/s over
+    the whole supported magnitude range."""
+    g = TorusGrid(n, 8)
+    full_omega, chi = _random_pencil_fields(g, 95 + n)
+    for omega in (constant_form_field(g, CONSTANT_OMEGA[n]), full_omega):
+        theta = theta_field(omega, chi).values
+        kernel = eta_inverse_values(omega, chi)
+        for s in (1e-6, 1.0, 1e60):
+            scaled_omega = HermitianFormField(g, s * omega.values)
+            scaled_chi = HermitianFormField(g, s * chi.values)
+            assert np.max(np.abs(theta_field(scaled_omega, scaled_chi).values - theta)) <= 1e-12
+            scaled_kernel = s * eta_inverse_values(scaled_omega, scaled_chi)
+            assert np.max(np.abs(scaled_kernel - kernel)) <= 1e-12 * np.max(np.abs(kernel))
 
 
 # --- averaged angle ------------------------------------------------------------------
