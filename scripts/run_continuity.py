@@ -29,12 +29,15 @@ def main():
     report = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
 
     print(f"{'t':>8} {'stage constant':>16} {'iters':>6}")
-    for t, c_t, iters in report.continuity_trace:
-        print(f"{t:>8.4f} {c_t:>16.3e} {iters:>6}")
+    # each stage starts at an iterate with step 0, then takes one per Newton step
+    starts = [i for i, it in enumerate(report.iterates) if it.step == 0.0]
+    for a, b in zip(starts, starts[1:] + [len(report.iterates)]):
+        it = report.iterates[a]
+        print(f"{it.t:>8.4f} {it.c:>16.3e} {b - a - 1:>6}")
     print(f"failed stage attempts = {len(report.failed_attempts)}")
     final = evaluate_state(report.u, report.c, prob)
     print(f"gmres iterations = {sum(it.krylov_iters for it in report.iterates)}")
-    print(f"converged = {report.converged}")
+    print(f"residual_sup = {report.residual_sup:.3e}")
     print(f"|c1| = {abs(report.c):.3e}")
     print(f"final phase spread = {final.max_phase - final.min_phase:.3e}")
 

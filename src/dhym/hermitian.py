@@ -33,9 +33,15 @@ DISTINCT_GAP_MIN = 1e-6
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^H)/2, batched over leading axes."""
+    """Hermitian part (a + a^H)/2, batched over leading axes.  If a sum
+    overflows (entries near the float maximum), both terms are halved first."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    a_h = np.conj(np.swapaxes(a, -1, -2))
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * (a + a_h)
+    except FloatingPointError:
+        return 0.5 * a + 0.5 * a_h
 
 
 def as_hermitian(a, n: int | None = None) -> np.ndarray:

@@ -87,41 +87,33 @@ class LevelSetArithmeticReport:
 def level_set_sample(spec: PhaseSpec, free) -> np.ndarray | None:
     """Complete n-1 free eigenvalues to a sorted point of the level set.
 
-    The free values become lambda_1..lambda_{n-1} (sorted descending) and the
-    last coordinate is tan(sigma - sum(arctan(free))) provided the residual
-    angle is in (-pi/2, pi/2) and the completion sorts below the free block;
-    otherwise None.
+    The one-row case of level_set_sample_batch: the completed point, or None
+    if the free values do not complete.
     """
-    free = np.sort(np.asarray(free, dtype=float))[::-1]
-    if free.shape[0] != spec.n - 1:
-        raise PhaseOutOfRange(f"need {spec.n - 1} free values, got {free.shape[0]}")
-    residual = spec.sigma - float(np.sum(np.arctan(free)))
-    if not -np.pi / 2 < residual < np.pi / 2:
-        return None
-    last = np.tan(residual)
-    if free.size and last > free[-1]:
-        return None
-    return np.concatenate([free, [last]])
+    rows = level_set_sample_batch(spec, np.asarray(free, dtype=float)[None])
+    return rows[0] if len(rows) else None
 
 
 def level_set_sample_batch(spec: PhaseSpec, free_batch) -> np.ndarray:
     """Vectorized level-set completion; returns only the valid rows.
 
-    free_batch has shape (batch, n-1); each valid row of the result is a
-    sorted-descending point of the level set, matching level_set_sample.
+    free_batch has shape (batch, n-1).  Each row's free values become
+    lambda_1..lambda_{n-1} (sorted descending) and the last coordinate is
+    tan(sigma - sum(arctan(free))); a row is valid if that residual angle is
+    in (-pi/2, pi/2) and the completion sorts below the free block.
     """
-    free = np.asarray(free_batch, dtype=float)
-    if free.shape[1] == 2:
-        # closed-form order and angle sum of the common n = 3 rows
-        hi = np.maximum(free[:, 0], free[:, 1])
-        lo = np.minimum(free[:, 0], free[:, 1])
-        free = np.stack([hi, lo], axis=1)
-        angle_sum = np.arctan(hi) + np.arctan(lo)
-    else:
-        if free.shape[1] > 2:
-            free = np.sort(free, axis=1)[:, ::-1]
-        angle_sum = np.sum(np.arctan(free), axis=1)
-    residual = spec.sigma - angle_sum
+    free = np.array(free_batch, dtype=float)  # a copy, sorted in place
+    if free.shape[1] != spec.n - 1:
+        raise PhaseOutOfRange(f"need {spec.n - 1} free values, got {free.shape[1]}")
+    # rows sorted descending by compare-exchange of adjacent columns, and
+    # the angle sum taken by columns: row-wise np.sort and np.sum take about
+    # twice as long on the many short rows that the check suites pass
+    for end in range(free.shape[1] - 1, 0, -1):
+        for j in range(end):
+            hi = np.maximum(free[:, j], free[:, j + 1])
+            np.minimum(free[:, j], free[:, j + 1], out=free[:, j + 1])
+            free[:, j] = hi
+    residual = spec.sigma - sum(np.arctan(free.T), np.zeros(len(free)))
     ok = np.abs(residual) < np.pi / 2
     last = np.tan(residual[ok])
     free = free[ok]

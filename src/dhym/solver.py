@@ -20,8 +20,12 @@ equal at every point is one point), and each trial form
 chi = chi0 + i ddbar u is n^2 planes; the phase and the kernel weight
 planes come in closed form from them.  No (..., n, n) complex array is
 built on the solve path.  Entries of omega and chi0, and of the potentials
-u_star and u0, are bounded by FORM_ENTRY_MAX, checked before any transform,
-so that the closed forms cannot overflow.
+u_star and u0, are bounded by torus.FORM_ENTRY_MAX, checked before any
+transform, so that the closed forms cannot overflow.
+
+A solve either raises a SolverError or returns a SolveReport: the solution
+u and one Iterate per accepted state, from which c, residual_sup and the
+continuation stages are read.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    BadRange,
     ConfigError,
     DimensionMismatch,
     LinearSolveStalled,
@@ -43,9 +46,11 @@ from .errors import (
     PhaseOutOfRange,
 )
 from .torus import (
+    FORM_ENTRY_MAX,
     HermitianFormField,
     ScalarField,
     TorusGrid,
+    _check_bounded,
     _check_metric_positive,
     _hessian_planes,
     _kernel_weights,
@@ -60,22 +65,6 @@ FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
 FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
-# Largest |entry| of omega, chi0 or a potential (u_star, u0) that a solve
-# accepts.  At n=2, |det|^2 in the kernel weights is quartic in the form
-# entries and overflows near 1e77; the bound leaves chi0 + i ddbar u room.
-FORM_ENTRY_MAX = 1e64
-
-
-def _check_bounded(**fields: np.ndarray) -> None:
-    """Raise BadRange, naming the field, if an entry of a field's values (a
-    form's planes or a potential) exceeds FORM_ENTRY_MAX in magnitude."""
-    for name, values in fields.items():
-        peak = max(float(values.max()), -float(values.min()))  # no |values| temporary
-        if not peak <= FORM_ENTRY_MAX:
-            raise BadRange(
-                f"{name} has an entry of magnitude {peak:.3g}, above the supported "
-                f"{FORM_ENTRY_MAX:g}"
-            )
 
 
 @dataclass(eq=False)
@@ -178,22 +167,27 @@ class Iterate:
 
 @dataclass
 class SolveReport:
-    """Solution state with convergence diagnostics.
+    """A converged solve: the solution u and the states that reached it.
 
     iterates: one record per accepted state, each solve's (or continuation
-    stage's) starting state included.
-    continuity_trace rows: (t, stage_constant, iterations).
+    stage's) starting state included; no accepted step has length 0, so a
+    continuation stage starts at each iterate with step == 0.  c and
+    residual_sup are those of the last iterate.
     failed_attempts: (t, exception class name) of each continuation stage
     attempt that failed and made the step halve, in order.
     """
 
     u: ScalarField
-    c: float
-    residual_sup: float
-    converged: bool
-    iterates: list[Iterate] = field(default_factory=list)
-    continuity_trace: list[tuple[float, float, int]] = field(default_factory=list)
+    iterates: list[Iterate]
     failed_attempts: list[tuple[float, str]] = field(default_factory=list)
+
+    @property
+    def c(self) -> float:
+        return self.iterates[-1].c
+
+    @property
+    def residual_sup(self) -> float:
+        return self.iterates[-1].residual_sup
 
 
 @dataclass
@@ -454,14 +448,7 @@ def newton_solve(
                 f"{cfg.max_iters} iterations"
             )
 
-    u_vals = u_vals - u_vals.mean()
-    return SolveReport(
-        u=ScalarField(grid, u_vals),
-        c=float(c),
-        residual_sup=state.residual_sup,
-        converged=bool(state.residual_sup <= cfg.tol),
-        iterates=iterates,
-    )
+    return SolveReport(ScalarField(grid, u_vals - u_vals.mean()), iterates)
 
 
 def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> SolveReport:
@@ -490,7 +477,6 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     u = ScalarField(grid, np.zeros(grid.shape))
     t = 0.0
     dt = DT_MAX
-    continuity_trace: list[tuple[float, float, int]] = [(0.0, 0.0, 0)]
     iterates: list[Iterate] = []
     failed_attempts: list[tuple[float, str]] = []
 
@@ -508,18 +494,10 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
                     f"continuation step underflowed {DT_MIN:g} at t={t:.6g}"
                 )
             continue
-        u, c = report.u, report.c
-        iters = len(report.iterates) - 1
-        iterates.extend(replace(it, t=t_next, c=c) for it in report.iterates)
-        continuity_trace.append((t_next, c, iters))
+        u = report.u
+        iterates.extend(replace(it, t=t_next, c=report.c) for it in report.iterates)
         t = t_next
-        if iters <= FAST_STAGE_ITERS:
+        if len(report.iterates) - 1 <= FAST_STAGE_ITERS:
             dt = min(2.0 * dt, DT_MAX)
 
-    # the loop ends only after a successful stage, so report is the last one
-    return replace(
-        report,
-        iterates=iterates,
-        continuity_trace=continuity_trace,
-        failed_attempts=failed_attempts,
-    )
+    return SolveReport(u, iterates, failed_attempts)

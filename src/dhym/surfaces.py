@@ -191,8 +191,8 @@ def conformal_bound(lambda1: float, lambda2: float, m: float, big_m: float) -> f
     [m, M], returns min over c in {1, m, M} of arctan(c lambda1)
     + arctan(c lambda2).
     """
-    if m <= 0.0 or m > big_m:
-        raise BadRange(f"need 0 < m <= M, got m={m:.6g}, M={big_m:.6g}")
+    if not 0.0 < m <= big_m < np.inf:  # so that NaN fails too
+        raise BadRange(f"need a finite 0 < m <= M, got m={m:.6g}, M={big_m:.6g}")
     candidates = [
         np.arctan(c * lambda1) + np.arctan(c * lambda2) for c in (1.0, m, big_m)
     ]

@@ -23,7 +23,9 @@ density det(omega + i chi) with an explicit branch lift.  All three come in
 closed form from the planes of omega and chi (_det_planes, _phase_planes,
 _kernel_weights), for the public functions and the solver alike.  The
 kernel's weight planes pair with the Hessian planes, so the matvec
-tr(K i ddbar v) never builds a complex Hessian either.
+tr(K i ddbar v) never builds a complex Hessian either.  The public
+functions bound every form entry by FORM_ENTRY_MAX first, and the solver
+bounds its problem's, so the closed forms cannot overflow.
 """
 
 from __future__ import annotations
@@ -35,10 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import ConfigError, DimensionMismatch, NotPositiveDefinite
+from .errors import BadRange, ConfigError, DimensionMismatch, NotPositiveDefinite
 from .hermitian import CHOLESKY_PIVOT_MIN, eig_pair_batch, symmetrize
 
 TWO_PI = 2.0 * np.pi
+# Largest |entry| of a form or a potential (u_star, u0) that is accepted.  At
+# n=2, |det|^2 in the kernel weights is quartic in the form entries and
+# overflows near 1e77; the bound leaves chi0 + i ddbar u room.
+FORM_ENTRY_MAX = 1e64
 
 
 def _fft_workers() -> int:
@@ -379,12 +385,26 @@ def _check_metric_positive(w: np.ndarray, n: int) -> None:
         raise NotPositiveDefinite(f"metric not positive-definite at grid index {idx}")
 
 
+def _check_bounded(**fields: np.ndarray) -> None:
+    """Raise BadRange, naming the field, if an entry of a field's values (a
+    form's planes or a potential) exceeds FORM_ENTRY_MAX in magnitude."""
+    for name, values in fields.items():
+        peak = max(float(values.max()), -float(values.min()))  # no |values| temporary
+        if not peak <= FORM_ENTRY_MAX:
+            raise BadRange(
+                f"{name} has an entry of magnitude {peak:.3g}, above the supported "
+                f"{FORM_ENTRY_MAX:g}"
+            )
+
+
 def _pencil_planes(omega: HermitianFormField, chi: HermitianFormField):
-    """The planes of omega and chi, once they share a grid and omega passes
-    _check_metric_positive (on every call: a constant omega is one point)."""
+    """The planes of omega and chi, once they share a grid, omega passes
+    _check_metric_positive and their entries pass _check_bounded (on every
+    call: a constant omega is one point)."""
     if chi.grid != omega.grid:
         raise DimensionMismatch("omega and chi live on different grids")
     _check_metric_positive(omega.planes, omega.grid.n)
+    _check_bounded(omega=omega.planes, chi=chi.planes)
     return omega.planes, chi.planes
 
 

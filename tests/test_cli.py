@@ -1,11 +1,17 @@
 """End-to-end command-line interface behavior."""
 
+import contextlib
 import csv
+import io
+import math
 import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhym.cli import _suite_derivatives, main
 from dhym.hermitian import (
@@ -314,6 +320,74 @@ def test_solve_refuses_huge_potential_without_overflow(tmp_path, capsys, key):
     assert f"BadRange: {key} has an entry" in err and "1e+64" in err
 
 
+@pytest.mark.parametrize("scale", ["1e308", "1e200"])
+def test_angle_refuses_huge_chi0_without_overflow(tmp_path, capsys, scale):
+    text = MAN1.replace("n = 1\nN = 64", "n = 2\nN = 8").replace(
+        "chi0 = iso 0.2", f"chi0 = iso {scale}"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert main(["angle", "--config", _cfg(tmp_path, text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "BadRange: chi has an entry" in err and "1e+64" in err
+
+
+# one n=2 N=8 config for both commands: angle reads its grid, omega and chi0
+EXTREME_CFG = """
+[grid]
+n = 2
+N = 8
+
+[fields]
+omega = id
+chi0 = {chi0}
+u_star = {amp} cos x1
+
+[target]
+kind = manufactured
+
+[problem]
+eps0 = 0.1
+
+[solver]
+max_iters = 10
+
+[output]
+dir = {out}
+"""
+# written without "+", which the scalar spec reads as a term separator
+EXTREMES = [
+    sign + mag
+    for mag in ("0", "1e-300", "1e-6", "0.3", "1e63", "1e64", "2e64", "1e200", "1e308")
+    for sign in ("", "-")
+] + ["nan", "inf"]
+
+
+@given(
+    command=st.sampled_from(["angle", "solve"]),
+    chi0=st.one_of(
+        st.builds("iso {}".format, st.sampled_from(EXTREMES)),
+        st.builds("const-diag {} {}".format, st.sampled_from(EXTREMES), st.sampled_from(EXTREMES)),
+    ),
+    amp=st.sampled_from(EXTREMES),
+)
+@settings(max_examples=100, deadline=None)
+def test_extreme_entries_exit_cleanly(command, chi0, amp):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/run.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(EXTREME_CFG.format(chi0=chi0, amp=amp, out=f"{tmp}/out"))
+        argv = ["angle", "--config", cfg] if command == "angle" else ["solve", cfg]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)  # none may escape
+            rc = main(argv)
+    assert rc in (0, 2, 3), err.getvalue()
+    if command == "angle" and rc == 0:
+        assert math.isfinite(float(out.getvalue().splitlines()[0].split(" = ")[1]))
+
+
 def test_check_rejects_unknown_suite(tmp_path):
     text = CHECK.format(suite="wat", samples=10, extra="", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
@@ -398,6 +472,23 @@ def test_surface_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "csub_certified = true" in text
     assert main(["surface", "unknown"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name,option,value",
+    [
+        ("kodaira", "m", "nan"),
+        ("kodaira", "M", "inf"),
+        ("kodaira", "c", "nan"),
+        ("inoue-sm", "alpha", "nan"),
+        ("inoue-pm", "q", "inf"),
+        ("kodaira", "w11", "-inf"),
+    ],
+)
+def test_surface_rejects_non_finite_option(capsys, name, option, value):
+    assert main(["surface", name, f"--{option}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--{option} must be finite" in err
 
 
 def test_region_boundary_matches_hyperbola(tmp_path):

@@ -306,3 +306,11 @@ def test_symmetrize_idempotent(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     s = symmetrize(a)
     assert np.max(np.abs(s - s.conj().T)) == 0.0
+
+
+def test_symmetrize_near_float_max():
+    # the diagonal of a + a^H overflows; the halves do not, and the result is exact
+    a = np.array([[1e308, 1.5e308], [-1e308, -1.7e308]], dtype=complex)
+    off = 0.5 * (1.5e308 - 1e308)
+    expect = np.array([[1e308, off], [off, -1.7e308]], dtype=complex)
+    assert np.array_equal(symmetrize(a), expect)  # the suite errors on a RuntimeWarning

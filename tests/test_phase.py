@@ -64,6 +64,15 @@ def test_level_set_sample_out_of_branch():
     assert level_set_sample(spec, [np.tan(-0.2)]) is None
 
 
+@pytest.mark.parametrize("columns", [0, 1, 3])
+def test_level_set_batch_checks_the_free_count(columns):
+    spec = PhaseSpec(3, np.pi / 2 + 0.2, 0.2)
+    with pytest.raises(PhaseOutOfRange, match="need 2 free values"):
+        level_set_sample_batch(spec, np.zeros((4, columns)))
+    with pytest.raises(PhaseOutOfRange, match="need 2 free values"):
+        level_set_sample(spec, np.zeros(columns))
+
+
 def test_level_set_batch_matches_scalar(rng):
     spec = PhaseSpec(3, np.pi / 2 + 0.2, 0.2)
     free = np.tan(rng.uniform(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, (500, 2)))

@@ -105,7 +105,7 @@ def test_newton_solve_builds_no_complex_form(monkeypatch):
     prob = manufactured_problem(ustar, identity_metric(g), _varying_chi0(g), eps0=0.3)
     _forbid_complex_forms(monkeypatch)
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.iterates) > 1
+    assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
 
 
 def test_continuity_solve_builds_no_complex_form(monkeypatch):
@@ -114,7 +114,7 @@ def test_continuity_solve_builds_no_complex_form(monkeypatch):
     prob = DhymProblem(g, omega, chi0, hat_theta(omega, chi0).hat_theta, eps0=0.2)
     _forbid_complex_forms(monkeypatch)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.continuity_trace) > 1
+    assert rep.residual_sup <= 1e-11 and rep.iterates[-1].t == 1.0
 
 
 def test_cli_runs_materialize_no_form(tmp_path, monkeypatch, capsys):

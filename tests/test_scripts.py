@@ -22,5 +22,5 @@ def test_run_continuity(capsys):
     out = dict(
         line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
     )
-    assert out["converged"] == "True"
+    assert float(out["residual_sup"]) <= 1e-11  # the script's solver tol
     assert int(out["gmres iterations"]) > 0

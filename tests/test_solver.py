@@ -176,7 +176,7 @@ def test_newton_trivial_start_is_converged():
     chi0 = constant_form_field(g, [[0.3]])
     prob = DhymProblem(g, om, chi0, theta_field(om, chi0), eps0=0.5)
     rep = newton_solve(prob)
-    assert rep.converged
+    assert rep.residual_sup <= SolverConfig().tol
     assert len(rep.iterates) == 1
     assert rep.c == 0.0
     assert np.max(np.abs(rep.u.values)) == 0.0
@@ -275,7 +275,7 @@ def test_forcing_tightens_to_krylov_tol_below_switch(monkeypatch):
     monkeypatch.setattr(spla, "gmres", spy)
     cfg = SolverConfig(tol=1e-11)
     rep = newton_solve(_manufactured_n1(), cfg=cfg)
-    assert rep.converged
+    assert rep.residual_sup <= cfg.tol
     sups = [it.residual_sup for it in rep.iterates[: len(rtols)]]
     assert len(rtols) == len(rep.iterates) - 1
     assert rtols == [it.eta for it in rep.iterates[1:]]
@@ -302,7 +302,7 @@ def test_loose_step_accepts_residual_within_eta(monkeypatch):
     monkeypatch.setattr(spla, "gmres", meets_eta_only)
     cfg = SolverConfig(tol=1e-11)
     rep = newton_solve(_manufactured_n1(), cfg=cfg)
-    assert rep.converged
+    assert rep.residual_sup <= cfg.tol
     assert reached[0] > 1e3 * cfg.krylov_tol
     assert reached[0] <= rep.iterates[1].eta
 
@@ -327,7 +327,7 @@ def test_iterates_count_operator_applications(monkeypatch):
         ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
     )
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.iterates) > 1
+    assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
     iters = [it.krylov_iters for it in rep.iterates[1:]]
     assert all(0 < k < 60 for k in iters)  # one restart cycle per step
     # each step adds the cycle-end residual of its one restart cycle
@@ -370,7 +370,7 @@ def test_iterates_hold_the_computed_min_phase(monkeypatch):
         ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
     )
     rep = newton_solve(prob)
-    assert rep.converged and len(rep.iterates) > 1
+    assert rep.residual_sup <= SolverConfig().tol and len(rep.iterates) > 1
     # n=1 puts the floor at -pi/2, where margin + floor would not round-trip
     assert all(it.min_phase in phases for it in rep.iterates)
 
@@ -499,7 +499,7 @@ def test_newton_evaluates_each_trial_state_once(monkeypatch):
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
     monkeypatch.setattr(solver, "inverse_laplacian_quarter", counting_inverse)
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.iterates) > 1
+    assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
     # an accepted step of length 2^-m is the (m+1)-th trial of its line search
     trials = sum(1 + round(-np.log2(it.step)) for it in rep.iterates[1:])
     assert counts["evaluate"] == 1 + trials
@@ -546,7 +546,7 @@ def test_newton_checks_omega_once_per_problem(monkeypatch):
     prob = DhymProblem(g, omega, chi0, target, eps0=0.3)
     assert len(calls) == 1
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and len(rep.iterates) > 1
+    assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
     assert len(calls) == 1
 
 
@@ -569,7 +569,7 @@ def test_continuation_stages_reuse_the_problem_planes(monkeypatch):
     monkeypatch.setattr(solver, "_check_metric_positive", counting_check)
     # four Newton steps per stage: the whole path fails and the step halves
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
-    assert rep.converged and len(rep.continuity_trace) > 2
+    assert rep.residual_sup <= 1e-11 and sum(it.step == 0.0 for it in rep.iterates) > 1
     # every stage problem shares the parent's forms and its omega check
     assert calls == []
 
@@ -639,7 +639,6 @@ def test_continuity_trivial_path():
     hhat = float(np.arctan(0.4))
     prob = DhymProblem(g, om, chi0, hhat, eps0=0.5)
     rep = continuity_solve(prob)
-    assert rep.converged
     assert rep.residual_sup <= 1e-12
     assert abs(rep.c) <= 1e-14
 
@@ -652,7 +651,7 @@ def test_continuity_reaches_averaged_angle():
     hhat = hat_theta(om, chi0).hat_theta
     prob = DhymProblem(g, om, chi0, hhat, eps0=0.25)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged
+    assert rep.residual_sup <= 1e-11
     assert abs(rep.c) <= 1e-8
     chi = HermitianFormField(g, chi0.values + i_ddbar(rep.u).values, _symmetrized=True)
     theta = theta_field(om, chi).values
@@ -671,10 +670,9 @@ def test_continuity_stage_constants_nonpositive_when_target_dominates():
     hdom = float(np.arctan(0.7)) + 0.05
     prob = DhymProblem(g, om, chi0, hdom, eps0=0.25)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged
-    for _, c_t, _ in rep.continuity_trace:
-        assert c_t <= 1e-12
+    assert rep.residual_sup <= 1e-11
     for it in rep.iterates:
+        assert it.c <= 1e-12
         assert it.min_phase > prob.phase_floor
 
 
@@ -686,12 +684,15 @@ def test_continuity_iterates_carry_their_stage():
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.25)
     # three Newton steps per stage: the path halves, then doubles again
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=3))
-    stages = rep.continuity_trace[1:]
-    assert rep.converged and len(stages) > 1
-    # each stage records its starting state, then one state per Newton step
-    expected = [(t, c_t, j) for t, c_t, iters in stages for j in range(iters + 1)]
-    assert [(it.t, it.c) for it in rep.iterates] == [(t, c_t) for t, c_t, _ in expected]
-    assert [it.step == 0.0 for it in rep.iterates] == [j == 0 for _, _, j in expected]
+    # each stage records its starting state (step 0), then one state per Newton step
+    starts = [i for i, it in enumerate(rep.iterates) if it.step == 0.0]
+    stages = [rep.iterates[a:b] for a, b in zip(starts, starts[1:] + [None])]
+    assert rep.residual_sup <= 1e-11 and starts[0] == 0 and len(stages) > 1
+    # every state of a stage carries the stage's t and final c
+    assert all(len({(it.t, it.c) for it in stage}) == 1 for stage in stages)
+    ts = [stage[0].t for stage in stages]
+    assert ts == sorted(set(ts)) and ts[-1] == 1.0
+    assert stages[-1][-1].c == rep.c
 
 
 def test_continuity_takes_the_whole_path_in_one_stage():
@@ -707,8 +708,8 @@ def test_continuity_takes_the_whole_path_in_one_stage():
     om, chi0 = identity_metric(g), HermitianFormField(g, vals)
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.2)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
-    assert rep.converged and rep.failed_attempts == []
-    assert len(rep.continuity_trace) == 2
+    assert rep.residual_sup <= 1e-11 and rep.failed_attempts == []
+    assert sum(it.step == 0.0 for it in rep.iterates) == 1  # one stage
     assert len(rep.iterates) - 1 <= 5  # Newton steps
     assert abs(rep.c) <= 1e-12
 
@@ -718,9 +719,9 @@ def test_continuity_records_failed_attempts():
     om, chi0 = identity_metric(g), _varying_chi0(g)
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.2)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
-    assert rep.converged
+    assert rep.residual_sup <= 1e-11
     assert rep.failed_attempts == [(1.0, "MaxItersExceeded")]
-    assert [t for t, _, _ in rep.continuity_trace] == [0.0, 0.5, 1.0]
+    assert [it.t for it in rep.iterates if it.step == 0.0] == [0.5, 1.0]
 
 
 def test_continuity_multi_start_uniqueness():
@@ -740,7 +741,7 @@ def test_continuity_multi_start_uniqueness():
             + 0.03 * np.sin(y + rng.uniform(0, 2 * np.pi)),
         )
         rep = newton_solve(prob, u0=u0, cfg=SolverConfig(tol=1e-11))
-        assert rep.converged
+        assert rep.residual_sup <= 1e-11
         results.append(rep)
     diff = np.max(np.abs(results[0].u.values - results[1].u.values))
     assert diff <= 1e-8

@@ -114,6 +114,9 @@ def test_conformal_bound_bad_range():
         conformal_bound(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(BadRange):
         conformal_bound(1.0, 1.0, 2.0, 1.0)
+    for m, big_m in ((float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(BadRange):
+            conformal_bound(1.0, 1.0, m, big_m)
 
 
 def test_conformal_bound_never_exceeded_for_positive_pairs(rng):
