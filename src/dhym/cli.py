@@ -32,9 +32,10 @@ from .hermitian import (
 )
 from .phase import (
     PhaseSpec,
-    csub_bounded_oracle,
+    _angle_total,
+    csub_bounded_oracle_batch,
     dichotomy_kappa_estimate,
-    is_csub_pointwise,
+    is_csub_batch,
     level_set_sample_batch,
 )
 from .runconfig import RunConfig, load_config, parse_form_spec, parse_grid, parse_scalar_spec
@@ -246,18 +247,25 @@ def _suite_derivatives(samples: int, rng) -> list[dict]:
     return rows
 
 
+# rows per batched criterion and oracle call, so memory does not grow with samples
+_SUBSOLUTION_BLOCK = 4096
+
+
 def _suite_subsolution(samples: int, rng) -> list[dict]:
     rows = []
     for n in (2, 3):
+        lo, hi = (n - 2) * np.pi / 2 + 0.1, n * np.pi / 2 - 0.1
         failures = 0
         worst = np.inf
-        for _ in range(samples):
-            mus = rng.uniform(-5.0, 5.0, n)
-            h = rng.uniform((n - 2) * np.pi / 2 + 0.1, n * np.pi / 2 - 0.1)
-            verdict = is_csub_pointwise(mus, h)
-            if verdict.is_csub != csub_bounded_oracle(mus, h):
-                failures += 1
-            worst = min(worst, abs(verdict.worst_margin))
+        for start in range(0, samples, _SUBSOLUTION_BLOCK):
+            count = min(_SUBSOLUTION_BLOCK, samples - start)
+            mus, h = np.empty((count, n)), np.empty(count)
+            for s in range(count):  # per-sample draws: mus, then h
+                mus[s] = rng.uniform(-5.0, 5.0, n)
+                h[s] = rng.uniform(lo, hi)
+            margin, _ = is_csub_batch(mus, h)
+            failures += int(np.sum((margin > 0.0) != csub_bounded_oracle_batch(mus, h)))
+            worst = min(worst, float(np.min(np.abs(margin))))
         rows.append(
             {
                 "case": f"n={n}",
@@ -270,6 +278,24 @@ def _suite_subsolution(samples: int, rng) -> list[dict]:
     return rows
 
 
+def _level_set_points(spec: PhaseSpec, samples: int, rng) -> np.ndarray:
+    """The first samples level-set points completed from uniform free angles.
+
+    Draws 4 * samples rows of n - 1 angles at a time.  A row whose angle sum
+    is not within pi/2 of sigma (plus 1e-9, far above the round-off of
+    arctan(tan(a))) is dropped before its tangents are taken:
+    level_set_sample_batch would reject its residual angle anyway.
+    """
+    points = np.empty((0, spec.n))
+    while points.shape[0] < samples:
+        angles = rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, (4 * samples, spec.n - 1))
+        near = np.abs(_angle_total(angles) - spec.sigma) < np.pi / 2 + 1e-9
+        # np.compress takes rows by a mask several times faster than indexing
+        free = np.tan(np.compress(near, angles, axis=0))
+        points = np.concatenate([points, level_set_sample_batch(spec, free)], axis=0)
+    return points[:samples]
+
+
 def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
     rows = []
     for n in (2, 3):
@@ -279,15 +305,7 @@ def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
             n * np.pi / 2 - 0.2,
         ):
             spec = PhaseSpec(n, sigma, min(eps0, sigma - (n - 2) * np.pi / 2))
-            points = np.empty((0, n))
-            while points.shape[0] < samples:
-                free = np.tan(
-                    rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, (4 * samples, n - 1))
-                )
-                points = np.concatenate(
-                    [points, level_set_sample_batch(spec, free)], axis=0
-                )
-            points = points[:samples]
+            points = _level_set_points(spec, samples, rng)
             thresh = np.tan(spec.eps0 / 2) - 1e-12
             viol_i = int(np.sum(points[:, -2] + points[:, -1] < thresh))
             e1 = np.sum(points, axis=1)
@@ -354,6 +372,11 @@ def _suite_dichotomy(samples: int, seed: int, sigma: float, eps0: float, delta: 
     ]
 
 
+# memory grows with samples (derivatives about 11 kB a sample, lemma23 and
+# prop21 about 0.35 kB), so the largest run stays near 1.1 GiB peak RSS
+CHECK_SAMPLES_MAX = 100_000
+
+
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     suite = cfg.get("check", "suite")
@@ -361,8 +384,8 @@ def cmd_check(args) -> int:
         raise ConfigError(f"unknown check suite {suite!r}")
     samples = cfg.get_int("check", "samples", 100)
     seed = cfg.get_int("check", "seed", 0)
-    if samples < 1:
-        raise ConfigError("samples must be positive")
+    if not 1 <= samples <= CHECK_SAMPLES_MAX:
+        raise ConfigError(f"[check] samples = {samples} outside [1, {CHECK_SAMPLES_MAX}]")
     rng = np.random.default_rng(seed)
 
     if suite == "derivatives":

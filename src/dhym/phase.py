@@ -6,7 +6,8 @@ the angle criterion for a point to be a subsolution (every (n-1)-subset of
 complementary arctans exceeds h - pi/2), the equivalent boundedness
 formulation decided by coordinate marching, and an empirical estimate of the
 dichotomy constant kappa for the linearized coefficients at far-out boundary
-points.
+points.  The sampler, the criterion and the oracle take many rows at once
+(the *_batch forms); the one-point functions are their one-row cases.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class LevelSetArithmeticReport:
     min_lambda_bound: float
 
 
+def _angle_total(angles: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added column by column, left to right.
+
+    That is the order in which np.sum adds one short row, at a fraction of
+    its cost over many short rows.
+    """
+    return np.asarray(sum(np.moveaxis(angles, -1, 0), np.zeros(angles.shape[:-1])))
+
+
 def level_set_sample(spec: PhaseSpec, free) -> np.ndarray | None:
     """Complete n-1 free eigenvalues to a sorted point of the level set.
 
@@ -113,7 +123,7 @@ def level_set_sample_batch(spec: PhaseSpec, free_batch) -> np.ndarray:
             hi = np.maximum(free[:, j], free[:, j + 1])
             np.minimum(free[:, j], free[:, j + 1], out=free[:, j + 1])
             free[:, j] = hi
-    residual = spec.sigma - sum(np.arctan(free.T), np.zeros(len(free)))
+    residual = spec.sigma - _angle_total(np.arctan(free))
     ok = np.abs(residual) < np.pi / 2
     last = np.tan(residual[ok])
     free = free[ok]
@@ -150,36 +160,80 @@ def level_set_arithmetic_check(lambdas, spec: PhaseSpec) -> LevelSetArithmeticRe
 
 
 def _complement_angle_sums(mus: np.ndarray) -> np.ndarray:
-    """sum_{l != j} arctan(mu_l) for each j."""
+    """sum_{l != j} arctan(mu_l) for each j, along the last axis of mus."""
     angles = np.arctan(mus)
-    return np.sum(angles) - angles
+    return _angle_total(angles)[..., None] - angles
+
+
+def is_csub_batch(mus, h) -> tuple[np.ndarray, np.ndarray]:
+    """Angle criterion for a subsolution at each row of mus (shape (S, n)).
+
+    h has shape (S,); every entry must lie in ((n-2) pi/2, n pi/2).  Returns
+    (worst_margin, witness_j) per row, as in SubsolutionVerdict: row s is a
+    subsolution iff worst_margin[s] > 0 (strict, tolerance zero).
+    """
+    mus = np.asarray(mus, dtype=float)
+    h = np.asarray(h, dtype=float)
+    n = mus.shape[1]
+    lo, hi = (n - 2) * np.pi / 2, n * np.pi / 2
+    outside = ~((lo < h) & (h < hi))  # so that NaN is outside too
+    if np.any(outside):
+        _check_band(n, float(h[outside][0]), lo, hi, "h")
+    margins = _complement_angle_sums(mus) - (h - np.pi / 2)[:, None]
+    witness = np.argmin(margins, axis=1)
+    return margins[np.arange(len(margins)), witness], witness
 
 
 def is_csub_pointwise(mus, h: float) -> SubsolutionVerdict:
     """Angle criterion for a subsolution at a point with eigenvalues mus.
 
-    Strict inequality, tolerance zero: the raw worst margin is reported.
+    The one-row case of is_csub_batch; the raw worst margin is reported.
     """
-    mus = np.asarray(mus, dtype=float)
-    n = mus.shape[0]
-    _check_band(n, h, (n - 2) * np.pi / 2, n * np.pi / 2, "h")
-    margins = _complement_angle_sums(mus) - (h - np.pi / 2)
-    j = int(np.argmin(margins))
+    margin, witness = is_csub_batch(np.asarray(mus, dtype=float)[None], [h])
     return SubsolutionVerdict(
-        is_csub=bool(margins[j] > 0.0),
-        worst_margin=float(margins[j]),
-        witness_j=j,
+        is_csub=bool(margin[0] > 0.0),
+        worst_margin=float(margin[0]),
+        witness_j=int(witness[0]),
     )
 
 
-def csub_bounded_oracle(mus, h: float) -> bool:
-    """Brute-force boundedness verdict for the constrained level set.
+# a far-end angle this close to the target leaves the verdict to the march
+_FAR_END_BAND = 1e-12
 
-    The set in question is {lambda' : lambda' >= mu componentwise,
-    sum(arctan(lambda'_l)) = h}; it is bounded iff every direction of the
-    march (see _march_extent) terminates.
+
+def csub_bounded_oracle_batch(mus, h) -> np.ndarray:
+    """Boundedness verdict of the constrained level set at each row of mus.
+
+    Row s asks whether {lambda' : lambda' >= mus[s] componentwise,
+    sum(arctan(lambda'_l)) = h[s]} is bounded, that is whether every
+    direction of the march (see _march_extent) terminates.  The march's
+    floor angle C_j + arctan(mu_j + t) never decreases in t, so a direction
+    terminates somewhere on the grid iff it terminates at the grid's far
+    end, and the verdict is read from the far-end angles alone:
+      - a far-end angle above h is the march's own hit at its last point;
+      - one more than 1e-12 below h has no hit anywhere: the computed
+        angles are within a few ulps (~1e-15) of the true ones, and the
+        true ones never decrease.
+    So the verdict equals the march's.  A row with a far-end angle within
+    1e-12 of h, where ulps could decide, takes the whole march.
     """
-    return _march_extent(np.asarray(mus, dtype=float), h) is not None
+    mus = np.asarray(mus, dtype=float)
+    h = np.asarray(h, dtype=float)[:, None]
+    far = _complement_angle_sums(mus) + np.arctan(mus + _MARCH_GRID[-1])
+    bounded = np.all(far > h, axis=1)
+    for s in np.flatnonzero(np.any(np.abs(far - h) <= _FAR_END_BAND, axis=1)):
+        bounded[s] = _march_extent(mus[s], h[s, 0]) is not None
+    return bounded
+
+
+def csub_bounded_oracle(mus, h: float) -> bool:
+    """Boundedness verdict for the constrained level set.
+
+    The one-row case of csub_bounded_oracle_batch: the set
+    {lambda' : lambda' >= mu componentwise, sum(arctan(lambda'_l)) = h} is
+    bounded iff every direction of the march terminates.
+    """
+    return bool(csub_bounded_oracle_batch(np.asarray(mus, dtype=float)[None], [h])[0])
 
 
 def csub_stability_margin(verdicts, h: float) -> float:
@@ -212,10 +266,12 @@ def _march_extent(mus: np.ndarray, sigma: float) -> np.ndarray | None:
     For each coordinate direction j the march steps t over a log grid from
     1e-6 to 1e6 and asks whether lambda' = mu + t e_j can still be completed
     to a point of the set: completion is feasible iff the minimum achievable
-    angle (all other coordinates at their floor mu_l) does not already
-    exceed sigma.  Returns the coordinates mu_j + t_j of the first
+    angle, the floor angle C_j + arctan(mu_j + t) with every other
+    coordinate at its floor mu_l (C_j = sum_{l != j} arctan(mu_l)), does not
+    already exceed sigma.  Returns the coordinates mu_j + t_j of the first
     infeasible step per direction, or None if some direction never
-    terminates.
+    terminates.  This is the only march: prop21 reads its extents, and the
+    oracle reads only its far end, except within 1e-12 of sigma.
     """
     floor_angle = (
         _complement_angle_sums(mus)[:, None] + np.arctan(mus[:, None] + _MARCH_GRID)

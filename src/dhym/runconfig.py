@@ -12,6 +12,7 @@ Axes are named x1, y1, x2, y2.  Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,10 @@ def parse_grid(cfg: RunConfig) -> TorusGrid:
         raise ConfigError(f"bad grid: {exc}") from exc
 
 
+# a "+" between terms; the sign of an exponent, as in 3e+0, is not one
+_TERM_SEPARATOR = re.compile(r"(?<![0-9.][eE])\+")
+
+
 def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
     """Build a scalar field from a term-list specification."""
     spec = spec.strip()
@@ -137,7 +142,7 @@ def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
             raise ConfigError(f"{spec!r}: not a scalar field on the config grid")
         return f
     values = np.zeros(grid.shape)
-    for term in spec.split("+"):
+    for term in _TERM_SEPARATOR.split(spec):
         tokens = term.split()
         if not tokens:
             raise ConfigError(f"empty term in field spec {spec!r}")

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhym.cli import _suite_derivatives, main
+import dhym.cli
+from dhym.cli import CHECK_SAMPLES_MAX, _level_set_points, _suite_derivatives, main
 from dhym.hermitian import (
     dF,
     eig_pair,
@@ -23,6 +24,7 @@ from dhym.hermitian import (
     symmetrize,
     theta_arctan,
 )
+from dhym.phase import PhaseSpec, level_set_sample_batch
 
 MAN1 = """
 [grid]
@@ -247,6 +249,69 @@ def test_check_suites_pass(tmp_path, suite, samples, extra):
     assert all(int(r["failures"]) == 0 for r in rows)
 
 
+# the check CSVs at 300 samples and seed 11: a speed-up of a suite must not
+# change its draws or its verdicts
+PINNED_CHECK_CSV = {
+    "subsolution": [
+        "suite,case,samples,failures,worst,threshold",
+        "subsolution,n=2,300,0,0.01585394915285987,0",
+        "subsolution,n=3,300,0,0.013522619812049275,0",
+    ],
+    "lemma23": [
+        "suite,case,samples,failures,worst,threshold",
+        'lemma23,"n=2,sigma=0.2000",300,0,0.10035909928805528,0',
+        'lemma23,"n=2,sigma=1.5708",300,0,1.8997108335890216,0',
+        'lemma23,"n=2,sigma=2.9416",300,0,19.832984697717222,0',
+        'lemma23,"n=3,sigma=1.7708",300,0,0.11379152342527052,0',
+        'lemma23,"n=3,sigma=3.1416",300,0,1.9467948022437831,0',
+        'lemma23,"n=3,sigma=4.5124",300,0,19.909152692491872,0',
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_CHECK_CSV))
+def test_check_csv_is_pinned(tmp_path, suite):
+    text = CHECK.format(suite=suite, samples=300, extra="", out="{out}")
+    assert main(["check", _cfg(tmp_path, text)]) == 0
+    got = (tmp_path / "out" / f"check_{suite}.csv").read_bytes().decode()
+    assert got == "".join(line + "\r\n" for line in PINNED_CHECK_CSV[suite])
+
+
+@pytest.mark.parametrize(
+    "n,sigma",
+    [(n, (n - 2) * np.pi / 2 + off) for n in (2, 3) for off in (0.2, np.pi / 2, np.pi - 0.2)]
+    + [(2, np.pi - 1e-3)],  # here rows survive with residual angles near pi/2
+)
+def test_level_set_points_match_the_unfiltered_loop(n, sigma):
+    # reference: every drawn row goes through tan and the batch
+    spec = PhaseSpec(n, sigma, min(0.2, sigma - (n - 2) * np.pi / 2))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = _level_set_points(spec, 200, rng)
+    points = np.empty((0, n))
+    while points.shape[0] < 200:
+        free = np.tan(ref_rng.uniform(-np.pi / 2 + 1e-6, np.pi / 2 - 1e-6, (800, n - 1)))
+        points = np.concatenate([points, level_set_sample_batch(spec, free)], axis=0)
+    assert np.array_equal(got, points[:200])
+    assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+
+def test_check_refuses_samples_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    # stand-in suites, so that a broken refusal cannot start a 64 GB draw
+    started = []
+    for name in ("_suite_derivatives", "_suite_subsolution", "_suite_level_set_arithmetic",
+                 "_suite_invariance", "_suite_dichotomy"):
+        monkeypatch.setattr(dhym.cli, name, lambda *args: started.append(args) or [])
+    for suite in ("derivatives", "subsolution", "lemma23", "invariance", "prop21"):
+        for samples in (CHECK_SAMPLES_MAX + 1, 10**9, 0):
+            text = CHECK.format(suite=suite, samples=samples, extra="", out="{out}")
+            assert main(["check", _cfg(tmp_path, text)]) == 2
+            assert f"samples = {samples} outside" in capsys.readouterr().err
+        assert not started
+        text = CHECK.format(suite=suite, samples=CHECK_SAMPLES_MAX, extra="", out="{out}")
+        assert main(["check", _cfg(tmp_path, text)]) == 0
+        assert len(started) == 1 and CHECK_SAMPLES_MAX in started.pop()
+
+
 def test_check_rejects_zero_eps0(tmp_path):
     text = CHECK.format(suite="lemma23", samples=10, extra="eps0 = 0\n", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
@@ -288,7 +353,7 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, command, text, nam
     assert f"{name} = " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["1e308", "1e200"])
+@pytest.mark.parametrize("scale", ["1e308", "1e200", "1e+308"])
 def test_solve_refuses_huge_chi0_without_overflow(tmp_path, capsys, scale):
     # an n=2 N=8 manufactured run with u_star = 0.1 cos x1
     text = (
@@ -355,11 +420,11 @@ max_iters = 10
 [output]
 dir = {out}
 """
-# written without "+", which the scalar spec reads as a term separator
+# written as Python writes them (1e+308, -1e-300), the way a config is pasted
 EXTREMES = [
-    sign + mag
-    for mag in ("0", "1e-300", "1e-6", "0.3", "1e63", "1e64", "2e64", "1e200", "1e308")
-    for sign in ("", "-")
+    repr(sign * mag)
+    for mag in (0.0, 1e-300, 1e-6, 0.3, 1e63, 1e64, 2e64, 1e200, 1e308)
+    for sign in (1.0, -1.0)
 ] + ["nan", "inf"]
 
 
@@ -386,6 +451,19 @@ def test_extreme_entries_exit_cleanly(command, chi0, amp):
     assert rc in (0, 2, 3), err.getvalue()
     if command == "angle" and rc == 0:
         assert math.isfinite(float(out.getvalue().splitlines()[0].split(" = ")[1]))
+
+
+def test_exponent_sign_amplitude_solves_alike(tmp_path):
+    # chi0 = iso 3e+0 is the same config as chi0 = iso 3
+    reports = []
+    for amp in ("3", "3e+0"):
+        text = EXTREME_CFG.format(chi0=f"iso {amp}", amp="0.1", out=tmp_path / amp)
+        assert main(["solve", _cfg(tmp_path, text, name=f"{amp}.cfg")]) == 0
+        reports.append(_strip_timestamp(tmp_path / amp / "report.txt"))
+    assert reports[0] == reports[1]
+    assert (tmp_path / "3" / "solution.dhym").read_bytes() == (
+        tmp_path / "3e+0" / "solution.dhym"
+    ).read_bytes()
 
 
 def test_check_rejects_unknown_suite(tmp_path):

@@ -154,6 +154,16 @@ def test_scalar_spec_terms():
     assert np.max(np.abs(parse_scalar_spec("zero", g).values)) == 0.0
 
 
+def test_scalar_spec_exponent_signs():
+    # a "+" in an exponent belongs to the amplitude, not between terms
+    g = TorusGrid(2, 8)
+    got = parse_scalar_spec("1e+0 cos 1 x1 + 2.5E-1 sin y2", g)
+    assert np.array_equal(got.values, parse_scalar_spec("1 cos 1 x1 + 0.25 sin y2", g).values)
+    assert np.array_equal(parse_scalar_spec("3e+0", g).values, np.full(g.shape, 3.0))
+    with pytest.raises(ConfigError, match="bad amplitude"):
+        parse_scalar_spec("3e+ + 1", g)
+
+
 def test_scalar_spec_rejects_bad_axis():
     g = TorusGrid(1, 16)
     with pytest.raises(ConfigError):

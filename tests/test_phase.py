@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dhym.phase
 from dhym.errors import (
     NotASubsolution,
     NotOnLevelSet,
@@ -13,9 +14,13 @@ from dhym.errors import (
 )
 from dhym.phase import (
     PhaseSpec,
+    _MARCH_GRID,
+    _march_extent,
     csub_bounded_oracle,
+    csub_bounded_oracle_batch,
     csub_lattice_check,
     csub_stability_margin,
+    is_csub_batch,
     is_csub_pointwise,
     level_set_arithmetic_check,
     level_set_sample,
@@ -171,6 +176,57 @@ def test_criterion_matches_oracle(rng):
             mus = rng.uniform(-5.0, 5.0, n)
             h = rng.uniform((n - 2) * np.pi / 2 + 0.1, n * np.pi / 2 - 0.1)
             assert is_csub_pointwise(mus, h).is_csub == csub_bounded_oracle(mus, h)
+
+
+def test_criterion_batch_matches_rows(rng):
+    # reference: one row at a time, its angle total taken by np.sum
+    for n in (2, 3, 4):
+        mus = rng.uniform(-5.0, 5.0, (300, n))
+        h = rng.uniform((n - 2) * np.pi / 2, n * np.pi / 2, 300)
+        margin, witness = is_csub_batch(mus, h)
+        for s in range(300):
+            angles = np.arctan(mus[s])
+            margins = np.sum(angles) - angles - (h[s] - np.pi / 2)
+            assert (margin[s], witness[s]) == (np.min(margins), np.argmin(margins))
+            verdict = is_csub_pointwise(mus[s], h[s])
+            assert verdict.worst_margin == margin[s] and verdict.witness_j == witness[s]
+            assert verdict.is_csub == (margin[s] > 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.pi, 0.0, np.nan])
+def test_criterion_batch_checks_every_h(bad):
+    with pytest.raises(PhaseOutOfRange, match="h="):
+        is_csub_batch(np.ones((3, 2)), [1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_far_end_oracle_matches_march(rng, n, monkeypatch):
+    mus, h = [], []
+    for scale in (5.0, 1e3, 1e7):
+        mus.append(rng.uniform(-scale, scale, (150, n)))
+        h.append(rng.uniform((n - 2) * np.pi / 2, n * np.pi / 2, 150))
+        # targets 0, +-1 and +-3 ulps from one direction's far-end floor angle
+        for row in rng.uniform(-scale, scale, (4, n)):
+            j = int(rng.integers(n))
+            angles = np.arctan(row)
+            far = np.sum(angles) - angles[j] + np.arctan(row[j] + _MARCH_GRID[-1])
+            for ulps in (0, 1, -1, 3, -3):
+                target = far
+                for _ in range(abs(ulps)):
+                    target = np.nextafter(target, np.sign(ulps) * np.inf)
+                mus.append(row[None])
+                h.append([target])
+    mus, h = np.concatenate(mus), np.concatenate(h)
+    expect = np.array([_march_extent(m, t) is not None for m, t in zip(mus, h)])
+    assert 0 < np.sum(expect) < len(expect)
+
+    marched = []  # rows that the 1e-12 band sends to the whole march
+    monkeypatch.setattr(
+        dhym.phase, "_march_extent", lambda m, t: marched.append(t) or _march_extent(m, t)
+    )
+    assert np.array_equal(csub_bounded_oracle_batch(mus, h), expect)
+    assert len(marched) >= 60
+    assert [csub_bounded_oracle(m, t) for m, t in zip(mus, h)] == list(expect)
 
 
 @given(
