@@ -35,11 +35,9 @@ from .solver import (
     SolveReport,
     SolverConfig,
     continuity_solve,
-    linearized_apply,
     manufactured_problem,
     newton_solve,
     residual,
-    verify_supercritical,
 )
 from .surfaces import (
     InvariantMetric,
@@ -58,9 +56,7 @@ from .torus import (
     hat_theta,
     i_ddbar,
     identity_metric,
-    integrate,
     isotropic_form_field,
-    mean,
     theta_field,
 )
 

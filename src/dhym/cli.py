@@ -131,11 +131,13 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown solver method {method!r}")
     if method == "continuity" and isinstance(prob.target, ScalarField):
         raise ConfigError("continuity method needs a constant target")
+    u0_spec = cfg.get("fields", "u0")
+    if method == "continuity" and u0_spec is not None:
+        raise ConfigError("[fields] u0 is read only by method = newton, not by continuity")
     out_dir = Path(cfg.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     u0 = None
-    u0_spec = cfg.get("fields", "u0")
     if u0_spec is not None:
         u0 = parse_scalar_spec(u0_spec, prob.grid)
 
@@ -259,10 +261,9 @@ def _suite_subsolution(samples: int, rng) -> list[dict]:
         worst = np.inf
         for start in range(0, samples, _SUBSOLUTION_BLOCK):
             count = min(_SUBSOLUTION_BLOCK, samples - start)
-            mus, h = np.empty((count, n)), np.empty(count)
-            for s in range(count):  # per-sample draws: mus, then h
-                mus[s] = rng.uniform(-5.0, 5.0, n)
-                h[s] = rng.uniform(lo, hi)
+            # one row per sample: n mus in [-5, 5], then h in [lo, hi]
+            draws = rng.uniform([-5.0] * n + [lo], [5.0] * n + [hi], (count, n + 1))
+            mus, h = draws[:, :n], draws[:, n]
             margin, _ = is_csub_batch(mus, h)
             failures += int(np.sum((margin > 0.0) != csub_bounded_oracle_batch(mus, h)))
             worst = min(worst, float(np.min(np.abs(margin))))

@@ -4,9 +4,10 @@ Solves Theta(chi0 + i ddbar u) = target + c on a flat torus for the pair
 (u mean-zero, c real).  Each damped Newton step solves the linearized system
 with GMRES, right-preconditioned by the exact inverse of the flat
 quarter-Laplacian: the preconditioner is fused into the operator's
-transforms, so one Krylov iteration costs 1 + n^2 real transforms, gmres
-minimizes the true linear residual and its own last product settles the
-step.  The inner tolerance follows an Eisenstat-Walker forcing schedule
+transforms (apply_linearized is L M^-1, the operator's one form), so one
+Krylov iteration costs 1 + n^2 real transforms, gmres minimizes the true
+linear residual and its own last product settles the step.  The inner
+tolerance follows an Eisenstat-Walker forcing schedule
 (loose while Newton is far from the root, krylov_tol once the residual is
 at or below FORCING_SWITCH).  A backtracking line search keeps the pointwise
 phase above the supercritical floor (n-2) pi/2.  Constant targets are
@@ -53,6 +54,7 @@ from .torus import (
     _check_bounded,
     _check_metric_positive,
     _hessian_planes,
+    _inverse_laplacian_spectrum,
     _kernel_weights,
     _phase_planes,
     _plus_hessian,
@@ -242,36 +244,19 @@ def linearization_kernel(chi: np.ndarray, prob: DhymProblem) -> np.ndarray:
     return _kernel_weights(prob.omega.planes, chi, prob.grid.n)
 
 
-def apply_linearized(
-    kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid, preconditioned: bool = False
-):
-    """tr(K i ddbar v): the kernel's weight planes times v's Hessian planes.
+def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
+    """The right-preconditioned Krylov operator L M^-1 v, L v = tr(K i ddbar v).
 
-    With preconditioned, v is replaced by inverse_laplacian_quarter(v) inside
-    the same transforms: this is the right-preconditioned Krylov operator.
+    M is the flat quarter-Laplacian: v's half spectrum is divided by its
+    symbol (torus._inverse_laplacian_spectrum), and the kernel's weight
+    planes multiply the Hessian planes of that quotient, at 1 + n^2
+    transforms in all.
     """
-    planes = _hessian_planes(v_values, grid, preconditioned)
+    planes = _hessian_planes(_inverse_laplacian_spectrum(v_values, grid), grid)
     out = kernel[0] * next(planes)
     for weight, plane in zip(kernel[1:], planes):
         out += weight * plane
     return out
-
-
-def linearized_apply(u: ScalarField, v: ScalarField, prob: DhymProblem) -> ScalarField:
-    """Directional derivative of the residual at state u in direction v."""
-    kernel = linearization_kernel(evaluate_state(u, 0.0, prob).chi, prob)
-    return ScalarField(prob.grid, apply_linearized(kernel, v.values, prob.grid))
-
-
-def verify_supercritical(u: ScalarField, prob: DhymProblem) -> dict:
-    """Minimum pointwise phase and whether it clears the floor plus eps0."""
-    min_phase = evaluate_state(u, 0.0, prob).min_phase
-    floor = prob.phase_floor
-    return {
-        "min_phase": min_phase,
-        "margin": min_phase - floor,
-        "ok": bool(min_phase > floor + prob.eps0 - 1e-12),
-    }
 
 
 def manufactured_problem(
@@ -337,7 +322,7 @@ def _solve_inner(
 
     def matvec(y):
         nonlocal last_y, last_mean
-        out = apply_linearized(kernel, y.reshape(shape), grid, preconditioned=True)
+        out = apply_linearized(kernel, y.reshape(shape), grid)
         last_y, last_mean = y, out.mean()
         return (out - last_mean).ravel()
 

@@ -187,36 +187,21 @@ def trace_formula(metric: InvariantMetric, c: float) -> float:
 def conformal_bound(lambda1: float, lambda2: float, m: float, big_m: float) -> float:
     """Certified lower bound of the conformally rescaled two-eigenvalue phase.
 
-    For eigenvalues (lambda1, lambda2) and a conformal factor ranging over
-    [m, M], returns min over c in {1, m, M} of arctan(c lambda1)
-    + arctan(c lambda2).
+    For eigenvalues (lambda1, lambda2) and a conformal factor c ranging over
+    [m, M], returns the minimum of f(c) = arctan(c lambda1) + arctan(c lambda2)
+    over c in {1, m, M} and, for a pair of mixed sign, the one interior
+    critical point c* = 1 / sqrt(-lambda1 lambda2) when it lies in [m, M]
+    (f' = (lambda1 + lambda2)(1 + c^2 lambda1 lambda2) / ((1 + c^2 lambda1^2)
+    (1 + c^2 lambda2^2)) vanishes nowhere else unless f is constant).
     """
     if not 0.0 < m <= big_m < np.inf:  # so that NaN fails too
         raise BadRange(f"need a finite 0 < m <= M, got m={m:.6g}, M={big_m:.6g}")
-    candidates = [
-        np.arctan(c * lambda1) + np.arctan(c * lambda2) for c in (1.0, m, big_m)
-    ]
-    return float(min(candidates))
-
-
-def conformal_min_on_endpoints(
-    lambda1: float,
-    lambda2: float,
-    m: float,
-    big_m: float,
-    grid: int = 2001,
-) -> tuple[float, float, bool]:
-    """Sampled check that the conformal phase minimum sits on {1, m, M}.
-
-    Returns (endpoint_bound, sampled_minimum, attained) where attained means
-    the sampled interior minimum does not undercut the endpoint bound beyond
-    round-off.  Mixed-sign eigenvalue pairs can fail; callers should flag
-    rather than assume.
-    """
-    bound = conformal_bound(lambda1, lambda2, m, big_m)
-    cs = np.linspace(m, big_m, grid)
-    sampled = float(np.min(np.arctan(cs * lambda1) + np.arctan(cs * lambda2)))
-    return bound, sampled, bool(sampled >= bound - 1e-12)
+    cs = [1.0, m, big_m]
+    if lambda1 * lambda2 < 0.0:
+        c_star = 1.0 / np.sqrt(-lambda1 * lambda2)
+        if m <= c_star <= big_m:
+            cs.append(c_star)
+    return float(min(np.arctan(c * lambda1) + np.arctan(c * lambda2) for c in cs))
 
 
 @dataclass(frozen=True)

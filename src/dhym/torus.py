@@ -13,7 +13,9 @@ on the half spectrum of real-to-complex transforms (fftn/ifftn below are the
 rfftn/irfftn pair).  One forward transform of a real field u gives its n^2
 real Hessian planes, in the plane order above; each plane is the inverse
 transform of a real, even symbol times the half spectrum.  The symbols are
-products of per-axis wavenumber vectors, which are cached.
+products of per-axis wavenumber vectors, which are cached.  The solver's
+preconditioned operator feeds the planes a half spectrum divided by the
+quarter-Laplacian symbol (_inverse_laplacian_spectrum), at no extra transform.
 
 The phase, its linearization kernel and the averaged angle all derive from
 the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
@@ -129,9 +131,6 @@ class ScalarField:
             )
         if not np.all(np.isfinite(self.values)):
             raise DimensionMismatch("field values must be finite")
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 # (j, k, part) of each form plane in plane order, part 0 for Re and 1 for Im:
@@ -290,26 +289,19 @@ def _diagonal_symbol(grid: TorusGrid, j: int) -> np.ndarray:
     return -0.25 * (kx**2 + ky**2)
 
 
-def _hessian_planes(values: np.ndarray, grid: TorusGrid, preconditioned: bool = False):
-    """Yield the n^2 real Hessian planes of a real field, in plane order.
+def _hessian_planes(uhat: np.ndarray, grid: TorusGrid):
+    """Yield the n^2 real Hessian planes of a real field from its half
+    spectrum uhat, in plane order.
 
     The planes are u_{j jbar} for each j, then Re u_{j kbar} and
     Im u_{j kbar} for each j < k, where u_{j kbar} is
     (1/4)(d_{x_j} d_{x_k} + d_{y_j} d_{y_k}) u
-    + (i/4)(d_{x_j} d_{y_k} - d_{y_j} d_{x_k}) u.  One forward transform
-    feeds every plane.  Off-diagonal symbols are products of
+    + (i/4)(d_{x_j} d_{y_k} - d_{y_j} d_{x_k}) u.  The caller's one forward
+    transform feeds every plane.  Off-diagonal symbols are products of
     first-derivative symbols (i k_a)(i k_b) whose Nyquist mode is zeroed, so
     every symbol is real and even and every plane is real.
-
-    With preconditioned, the planes are those of
-    inverse_laplacian_quarter(values): the half spectrum is divided by the
-    quarter-Laplacian symbol before the plane symbols apply, at no extra
-    transform.
     """
     N, n = grid.N, grid.n
-    uhat = fftn(values)
-    if preconditioned:
-        _divide_laplacian_quarter(uhat, grid)
     for j in range(n):
         yield ifftn(_diagonal_symbol(grid, j) * uhat, grid.shape)
     for j in range(n):
@@ -325,7 +317,7 @@ def _plus_hessian(base: np.ndarray, u_values: np.ndarray, grid: TorusGrid) -> np
     """Planes of base + i ddbar u, for form planes base (full or collapsed):
     one forward and n^2 inverse transforms."""
     out = np.empty((grid.n ** 2,) + grid.shape)
-    for base_plane, hess, plane in zip(base, _hessian_planes(u_values, grid), out):
+    for base_plane, hess, plane in zip(base, _hessian_planes(fftn(u_values), grid), out):
         np.add(base_plane, hess, out=plane)
     return out
 
@@ -337,24 +329,15 @@ def i_ddbar(u: ScalarField) -> HermitianFormField:
     return HermitianFormField._of_planes(u.grid, _plus_hessian(zero, u.values, u.grid))
 
 
-def _laplacian_quarter_symbol(grid: TorusGrid) -> np.ndarray:
-    """Symbol of (1/4) Delta on the half spectrum: the sum of the diagonal
-    Hessian symbols.  The result is a new array."""
+def _inverse_laplacian_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half spectrum of the mean-zero solution v of (1/4) Delta v = values:
+    the forward transform divided by the (1/4) Delta symbol, the sum of the
+    diagonal Hessian symbols, with the zero mode (where it vanishes) cleared."""
     diagonal = [_diagonal_symbol(grid, j) for j in range(grid.n)]
-    return sum(diagonal[1:], diagonal[0])
-
-
-def laplacian_quarter(u_values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """(1/4) Delta u over all 2n real axes, spectrally."""
-    return ifftn(_laplacian_quarter_symbol(grid) * fftn(u_values), grid.shape)
-
-
-def _divide_laplacian_quarter(fhat: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Divide a half spectrum in place by the (1/4) Delta symbol and clear
-    its zero mode, the one mode where the symbol vanishes."""
-    mult = _laplacian_quarter_symbol(grid)
+    mult = sum(diagonal[1:], diagonal[0])
     flat_zero = (0,) * (2 * grid.n)
     mult[flat_zero] = 1.0
+    fhat = fftn(values)
     fhat /= mult
     fhat[flat_zero] = 0.0
     return fhat
@@ -362,7 +345,7 @@ def _divide_laplacian_quarter(fhat: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def inverse_laplacian_quarter(rhs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Mean-zero solution of (1/4) Delta v = rhs (mean of rhs discarded)."""
-    return ifftn(_divide_laplacian_quarter(fftn(rhs), grid), grid.shape)
+    return ifftn(_inverse_laplacian_spectrum(rhs, grid), grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +517,3 @@ def hat_theta(omega: HermitianFormField, chi: HermitianFormField) -> AngleResult
         modulus=float(np.abs(z)),
         branch_certificate=certificate,
     )
-
-
-def integrate(f: ScalarField) -> float:
-    """Rectangle-rule integral, exact for band-limited integrands."""
-    return float(f.values.sum() * f.grid.cell_volume)
-
-
-def mean(f: ScalarField) -> float:
-    return f.mean()

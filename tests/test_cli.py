@@ -385,6 +385,17 @@ def test_solve_refuses_huge_potential_without_overflow(tmp_path, capsys, key):
     assert f"BadRange: {key} has an entry" in err and "1e+64" in err
 
 
+def test_continuation_refuses_u0(tmp_path, capsys):
+    # continuity always starts from u = 0, so a u0 it would not read is refused
+    text = CONT1.replace("N = 32", "N = 16").replace(
+        "chi0 = iso 0.5 + 0.2 cos x1", "chi0 = iso 0.5 + 0.2 cos x1\nu0 = 1e308 cos x1"
+    )
+    assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "u0" in err and "method = newton" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scale", ["1e308", "1e200"])
 def test_angle_refuses_huge_chi0_without_overflow(tmp_path, capsys, scale):
     text = MAN1.replace("n = 1\nN = 64", "n = 2\nN = 8").replace(

@@ -10,7 +10,6 @@ from dhym.surfaces import (
     InvariantMetric,
     catalog,
     conformal_bound,
-    conformal_min_on_endpoints,
     csub_on_surface,
     trace_formula,
 )
@@ -129,6 +128,11 @@ def test_conformal_bound_never_exceeded_for_positive_pairs(rng):
         assert np.all(sampled >= bound - 1e-12)
 
 
+def _sampled_conformal_min(l1, l2, m, big_m, grid=2001):
+    cs = np.linspace(m, big_m, grid)
+    return float(np.min(np.arctan(cs * l1) + np.arctan(cs * l2)))
+
+
 @given(
     l1=st.floats(min_value=0.05, max_value=5.0),
     l2=st.floats(min_value=0.05, max_value=5.0),
@@ -137,9 +141,25 @@ def test_conformal_bound_never_exceeded_for_positive_pairs(rng):
 )
 @settings(max_examples=150)
 def test_conformal_endpoint_minimum_for_positive_pairs(l1, l2, m, spread):
-    bound, sampled, attained = conformal_min_on_endpoints(l1, l2, m, m + spread)
-    assert attained
-    assert sampled >= bound - 1e-12
+    bound = conformal_bound(l1, l2, m, m + spread)
+    assert _sampled_conformal_min(l1, l2, m, m + spread) >= bound - 1e-12
+
+
+def test_conformal_bound_mixed_sign_interior_minimum():
+    # f(c) = arctan(c) + arctan(-10 c) is least at c* = 1/sqrt(10), inside [0.1, 1]
+    bound = conformal_bound(1.0, -10.0, 0.1, 1.0)
+    c_star = 1.0 / np.sqrt(10.0)
+    assert bound == np.arctan(c_star) + np.arctan(-10.0 * c_star)
+    assert bound < -0.958
+    assert _sampled_conformal_min(1.0, -10.0, 0.1, 1.0, 100_001) >= bound - 1e-12
+
+
+def test_conformal_bound_never_exceeded_for_mixed_sign_pairs(rng):
+    for _ in range(500):
+        l1, l2 = rng.uniform(0.01, 10.0), -rng.uniform(0.01, 10.0)
+        m, big_m = np.sort(rng.uniform(0.05, 3.0, 2))
+        bound = conformal_bound(l1, l2, m, big_m)
+        assert _sampled_conformal_min(l1, l2, m, big_m) >= bound - 1e-12
 
 
 # --- surface subsolution verdict -----------------------------------------------------

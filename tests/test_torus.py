@@ -16,8 +16,6 @@ from dhym.torus import (
     hat_theta,
     i_ddbar,
     identity_metric,
-    integrate,
-    mean,
     pencil_eigenvalues,
     theta_field,
 )
@@ -426,27 +424,3 @@ def test_hat_theta_invariance_under_hessian_shift():
             g, chi0.values + i_ddbar(ScalarField(g, vals)).values, _symmetrized=True
         )
         assert abs(hat_theta(om, chi).hat_theta - base.hat_theta) <= 1e-10
-
-
-# --- quadrature -----------------------------------------------------------------------
-
-
-def test_integrate_constant():
-    g = TorusGrid(2, 8)
-    assert abs(integrate(ScalarField(g, np.ones(g.shape))) - (2 * np.pi) ** 4) <= 1e-8
-
-
-def test_integrate_full_period_mode():
-    g = TorusGrid(1, 16)
-    f = ScalarField(g, np.cos(g.axis_coordinate("x1")))
-    assert abs(integrate(f)) <= 1e-13
-
-
-def test_integrate_band_limited_product():
-    g = TorusGrid(1, 32)
-    x = g.axis_coordinate("x1")
-    y = g.axis_coordinate("y1")
-    f = ScalarField(g, (2.0 + np.cos(x)) * (1.0 + 0.5 * np.sin(y)))
-    # closed form: cross terms integrate to zero over full periods
-    assert abs(integrate(f) - 2.0 * (2 * np.pi) ** 2) <= 1e-11
-    assert abs(mean(f) - 2.0) <= 1e-14
