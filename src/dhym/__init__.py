@@ -14,7 +14,6 @@ from .hermitian import (
     eig_pair,
     eigenvalue_derivatives,
     lagrangian_angle_det,
-    sigma_k,
     spectral_function_derivatives,
     symmetrize,
     theta_arctan,
@@ -23,11 +22,7 @@ from .phase import (
     PhaseSpec,
     SubsolutionVerdict,
     csub_bounded_oracle,
-    csub_lattice_check,
-    csub_stability_margin,
     is_csub_pointwise,
-    level_set_arithmetic_check,
-    level_set_sample,
     dichotomy_kappa_estimate,
 )
 from .solver import (

@@ -36,6 +36,7 @@ from .phase import (
     csub_bounded_oracle_batch,
     dichotomy_kappa_estimate,
     is_csub_batch,
+    level_set_arithmetic,
     level_set_sample_batch,
 )
 from .runconfig import RunConfig, load_config, parse_form_spec, parse_grid, parse_scalar_spec
@@ -92,6 +93,8 @@ def _build_problem(cfg: RunConfig) -> DhymProblem:
     if eps0 is None:
         raise ConfigError("config needs [problem] eps0")
     kind = cfg.get("target", "kind", "constant")
+    if kind != "manufactured" and cfg.get("fields", "u_star") is not None:
+        raise ConfigError("[fields] u_star is read only by [target] kind = manufactured")
     if kind == "constant":
         value = cfg.get_float("target", "value")
         if value is None:
@@ -306,20 +309,13 @@ def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
             n * np.pi / 2 - 0.2,
         ):
             spec = PhaseSpec(n, sigma, min(eps0, sigma - (n - 2) * np.pi / 2))
-            points = _level_set_points(spec, samples, rng)
-            thresh = np.tan(spec.eps0 / 2) - 1e-12
-            viol_i = int(np.sum(points[:, -2] + points[:, -1] < thresh))
-            e1 = np.sum(points, axis=1)
-            viol_ii = int(np.sum(e1 < -1e-12))
-            if n >= 3:
-                e2 = 0.5 * (e1**2 - np.sum(points**2, axis=1))
-                viol_ii += int(np.sum(e2 < -1e-12))
+            margin, counts = level_set_arithmetic(_level_set_points(spec, samples, rng), spec)
             rows.append(
                 {
                     "case": f"n={n},sigma={sigma:.4f}",
                     "samples": samples,
-                    "failures": viol_i + viol_ii,
-                    "worst": float(np.min(points[:, -2] + points[:, -1] - thresh)),
+                    "failures": int(np.sum(margin < 0.0)) + int(np.sum(counts)),
+                    "worst": float(np.min(margin)),
                     "threshold": 0.0,
                 }
             )

@@ -25,14 +25,6 @@ class PhaseOutOfRange(DhymError):
     """A phase value leaves the admissible supercritical band."""
 
 
-class NotOnLevelSet(DhymError):
-    """Input eigenvalues do not lie on the requested phase level set."""
-
-
-class NotASubsolution(DhymError):
-    """A point fails the subsolution criterion where one is required."""
-
-
 class PreconditionFailed(DhymError):
     """A geometric precondition (containment, boundedness) does not hold."""
 

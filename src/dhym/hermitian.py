@@ -3,9 +3,8 @@
 Everything here works on n x n complex Hermitian matrices with 1 <= n <= 4:
 generalized eigenvalues of a pencil (omega, chi) with omega positive-definite,
 the phase angle sum(arctan(lambda_i)) in both its eigenvalue and determinant
-forms, the first/second derivative tensors of eigenvalues and of spectral
-functions at diagonal matrices with distinct spectrum, and elementary
-symmetric polynomials.
+forms, and the first/second derivative tensors of eigenvalues and of
+spectral functions at diagonal matrices with distinct spectrum.
 
 The pencil eigensolver whitens chi by the Cholesky factor of omega, whose
 explicit 1e-12 pivot rule is the one the torus metric check mirrors, and
@@ -295,20 +294,3 @@ def spectral_function_derivatives(
                 continue
             second[i, j, j, i] += (fi[i] - fi[j]) / (lam[i] - lam[j])
     return SpectralDerivatives(first=first, second=second)
-
-
-def sigma_k(lambdas, k: int) -> float:
-    """Elementary symmetric polynomial sigma_k(lambda_1, ..., lambda_n).
-
-    Evaluated by the coefficient recurrence of prod(1 + lambda_i t), which is
-    stable for the small n used here.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    n = lam.shape[0]
-    if not 1 <= k <= n:
-        raise BadIndex(f"k={k} outside 1..{n}")
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    for value in lam:
-        coeffs[1:] = coeffs[1:] + value * coeffs[:-1].copy()
-    return float(coeffs[k])

@@ -1,13 +1,15 @@
 """Supercritical-phase arithmetic and subsolution criteria.
 
 Works in eigenvalue space: points on the level set
-{lambda : sum(arctan(lambda_i)) = sigma} for a supercritical target sigma,
-the angle criterion for a point to be a subsolution (every (n-1)-subset of
-complementary arctans exceeds h - pi/2), the equivalent boundedness
-formulation decided by coordinate marching, and an empirical estimate of the
-dichotomy constant kappa for the linearized coefficients at far-out boundary
-points.  The sampler, the criterion and the oracle take many rows at once
-(the *_batch forms); the one-point functions are their one-row cases.
+{lambda : sum(arctan(lambda_i)) = sigma} for a supercritical target sigma
+and the arithmetic of Lemma 2.3 at them, the angle criterion for a point to
+be a subsolution (every (n-1)-subset of complementary arctans exceeds
+h - pi/2), the equivalent boundedness formulation decided by coordinate
+marching, and an empirical estimate of the dichotomy constant kappa for the
+linearized coefficients at far-out boundary points.  The sampler, the
+arithmetic, the criterion and the oracle take many rows at once;
+is_csub_pointwise and csub_bounded_oracle are the one-row cases of the
+criterion and the oracle.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotASubsolution,
-    NotOnLevelSet,
-    PhaseOutOfRange,
-    PreconditionFailed,
-)
-from .hermitian import eig_pair, sigma_k, symmetrize
+from .errors import PhaseOutOfRange, PreconditionFailed
+from .hermitian import eig_pair, symmetrize
 
-LEVEL_SET_TOL = 1e-9
 # marching offsets t, shared by every march
 _MARCH_GRID = np.geomspace(1e-6, 1e6, 10_000)
 
@@ -75,16 +71,6 @@ class SubsolutionVerdict:
     witness_j: int
 
 
-@dataclass(frozen=True)
-class LevelSetArithmeticReport:
-    """Arithmetic facts about a level-set point (see level_set_arithmetic_check)."""
-
-    i_holds: bool
-    ii_holds: bool
-    iv_holds: bool
-    min_lambda_bound: float
-
-
 def _angle_total(angles: np.ndarray) -> np.ndarray:
     """Sum over the last axis, added column by column, left to right.
 
@@ -92,16 +78,6 @@ def _angle_total(angles: np.ndarray) -> np.ndarray:
     its cost over many short rows.
     """
     return np.asarray(sum(np.moveaxis(angles, -1, 0), np.zeros(angles.shape[:-1])))
-
-
-def level_set_sample(spec: PhaseSpec, free) -> np.ndarray | None:
-    """Complete n-1 free eigenvalues to a sorted point of the level set.
-
-    The one-row case of level_set_sample_batch: the completed point, or None
-    if the free values do not complete.
-    """
-    rows = level_set_sample_batch(spec, np.asarray(free, dtype=float)[None])
-    return rows[0] if len(rows) else None
 
 
 def level_set_sample_batch(spec: PhaseSpec, free_batch) -> np.ndarray:
@@ -131,32 +107,26 @@ def level_set_sample_batch(spec: PhaseSpec, free_batch) -> np.ndarray:
     return np.concatenate([free[sorts], last[sorts, None]], axis=1)
 
 
-def level_set_arithmetic_check(lambdas, spec: PhaseSpec) -> LevelSetArithmeticReport:
-    """Check the supercritical arithmetic at a sorted level-set point.
+def level_set_arithmetic(points, spec: PhaseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma 2.3's supercritical arithmetic at each level-set point.
 
-    (i): lambda_{n-1} + lambda_n >= tan(eps0/2).
-    (ii): sigma_k(lambda) >= 0 for 1 <= k <= n-1.
-    (iv): if lambda_n <= 0 then |lambda_n| <= cot(eps0) (empirical bound;
-          reported, not asserted).
-    Raises NotOnLevelSet unless sum(arctan(lambda)) matches sigma to 1e-9.
+    points has shape (S, n) with n >= 2, each row sorted descending, as
+    level_set_sample_batch returns them.  Returns per row
+      - the margin of (i), lambda_{n-1} + lambda_n - (tan(eps0/2) - 1e-12):
+        (i) holds iff it is >= 0;
+      - the number of k in 1..n-1 with sigma_k(lambda) < -1e-12, the
+        violations of (ii) sigma_k(lambda) >= 0.
+    sigma_k is the t^k coefficient of prod_i (1 + lambda_i t), built by its
+    recurrence one column of points at a time.
     """
-    lam = np.sort(np.asarray(lambdas, dtype=float))[::-1]
-    theta = float(np.sum(np.arctan(lam)))
-    if abs(theta - spec.sigma) > LEVEL_SET_TOL:
-        raise NotOnLevelSet(
-            f"sum(arctan)={theta:.12g} differs from sigma={spec.sigma:.12g} "
-            f"by {abs(theta - spec.sigma):.3e}"
-        )
-    i_holds = lam[-2] + lam[-1] >= np.tan(spec.eps0 / 2) - 1e-12
-    ii_holds = all(sigma_k(lam, k) >= -1e-12 for k in range(1, spec.n))
-    bound = 1.0 / np.tan(spec.eps0) + 1e-9
-    iv_holds = lam[-1] > 0.0 or abs(lam[-1]) <= bound
-    return LevelSetArithmeticReport(
-        i_holds=bool(i_holds),
-        ii_holds=bool(ii_holds),
-        iv_holds=bool(iv_holds),
-        min_lambda_bound=float(bound),
-    )
+    points = np.asarray(points, dtype=float)
+    margin = points[:, -2] + points[:, -1] - (np.tan(spec.eps0 / 2) - 1e-12)
+    coeffs = [np.ones(len(points))] + [np.zeros(len(points))] * spec.n
+    for i, lam in enumerate(points.T):
+        for k in range(i + 1, 0, -1):
+            coeffs[k] = coeffs[k] + lam * coeffs[k - 1]
+    counts = sum(coeffs[k] < -1e-12 for k in range(1, spec.n))
+    return margin, counts
 
 
 def _complement_angle_sums(mus: np.ndarray) -> np.ndarray:
@@ -234,30 +204,6 @@ def csub_bounded_oracle(mus, h: float) -> bool:
     bounded iff every direction of the march terminates.
     """
     return bool(csub_bounded_oracle_batch(np.asarray(mus, dtype=float)[None], [h])[0])
-
-
-def csub_stability_margin(verdicts, h: float) -> float:
-    """Uniform slack of a family of per-point subsolution verdicts.
-
-    Any target k with |h - k|_inf below the returned value keeps every
-    verdict positive.  Raises NotASubsolution if some point already fails.
-    """
-    margins = [v.worst_margin for v in verdicts]
-    if not margins:
-        raise NotASubsolution("empty verdict collection")
-    worst = min(margins)
-    if worst <= 0.0:
-        raise NotASubsolution(f"worst margin {worst:.6g} is not positive")
-    del h  # the margin is already measured relative to h
-    return float(worst)
-
-
-def csub_lattice_check(mus, h1: float, h2: float) -> bool:
-    """Subsolution property for max(h1, h2) and min(h1, h2) simultaneously."""
-    hi, lo = max(h1, h2), min(h1, h2)
-    return bool(
-        is_csub_pointwise(mus, hi).is_csub and is_csub_pointwise(mus, lo).is_csub
-    )
 
 
 def _march_extent(mus: np.ndarray, sigma: float) -> np.ndarray | None:

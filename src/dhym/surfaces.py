@@ -53,12 +53,6 @@ class SurfaceModel:
         j = self.complex_structure
         return float(np.max(np.abs(j @ j + np.eye(4))))
 
-    def holomorphic_frame_residual(self) -> float:
-        """Max |phi(J v) - i phi(v)| over the basis: the (1,0) property."""
-        j = self.complex_structure
-        phi = self.invariant_forms
-        return float(np.max(np.abs(phi @ j - 1j * phi)))
-
 
 def _brackets_to_tensor(brackets: dict) -> np.ndarray:
     c = np.zeros((4, 4, 4))
@@ -189,14 +183,15 @@ def conformal_bound(lambda1: float, lambda2: float, m: float, big_m: float) -> f
 
     For eigenvalues (lambda1, lambda2) and a conformal factor c ranging over
     [m, M], returns the minimum of f(c) = arctan(c lambda1) + arctan(c lambda2)
-    over c in {1, m, M} and, for a pair of mixed sign, the one interior
-    critical point c* = 1 / sqrt(-lambda1 lambda2) when it lies in [m, M]
-    (f' = (lambda1 + lambda2)(1 + c^2 lambda1 lambda2) / ((1 + c^2 lambda1^2)
-    (1 + c^2 lambda2^2)) vanishes nowhere else unless f is constant).
+    over [m, M]: the least of f at the endpoints m and M and, for a pair of
+    mixed sign, at the one interior critical point c* = 1 / sqrt(-lambda1
+    lambda2) when it lies in [m, M] (f' = (lambda1 + lambda2)(1 + c^2 lambda1
+    lambda2) / ((1 + c^2 lambda1^2)(1 + c^2 lambda2^2)) vanishes nowhere else
+    unless f is constant).
     """
     if not 0.0 < m <= big_m < np.inf:  # so that NaN fails too
         raise BadRange(f"need a finite 0 < m <= M, got m={m:.6g}, M={big_m:.6g}")
-    cs = [1.0, m, big_m]
+    cs = [m, big_m]
     if lambda1 * lambda2 < 0.0:
         c_star = 1.0 / np.sqrt(-lambda1 * lambda2)
         if m <= c_star <= big_m:

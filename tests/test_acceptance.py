@@ -21,8 +21,6 @@ from dhym.hermitian import (
 from dhym.phase import (
     PhaseSpec,
     csub_bounded_oracle,
-    csub_lattice_check,
-    csub_stability_margin,
     is_csub_pointwise,
     level_set_sample_batch,
 )
@@ -203,13 +201,16 @@ def test_criterion_04_subsolution_equivalence():
             if verdict.is_csub != csub_bounded_oracle(mus, h):
                 disagreements += 1
             if verdict.is_csub:
-                eps = csub_stability_margin([verdict], h)
+                eps = verdict.worst_margin  # the uniform slack of the verdict
                 hi_ok = h + 0.9 * eps < n * np.pi / 2
                 if hi_ok and not is_csub_pointwise(mus, h + 0.9 * eps).is_csub:
                     stability_failures += 1
                 h2 = rng.uniform((n - 2) * np.pi / 2 + 0.1, n * np.pi / 2 - 0.1)
                 if is_csub_pointwise(mus, h2).is_csub:
-                    if not csub_lattice_check(mus, h, h2):
+                    if not (
+                        is_csub_pointwise(mus, max(h, h2)).is_csub
+                        and is_csub_pointwise(mus, min(h, h2)).is_csub
+                    ):
                         lattice_failures += 1
     ok = disagreements == 0 and stability_failures == 0 and lattice_failures == 0
     _report(

@@ -249,15 +249,26 @@ def test_check_suites_pass(tmp_path, suite, samples, extra):
     assert all(int(r["failures"]) == 0 for r in rows)
 
 
-# the check CSVs at 300 samples and seed 11: a speed-up of a suite must not
-# change its draws or its verdicts
+# (samples, CSV lines) of each check at seed 11, at 300 samples or, for
+# prop21, its least 1000: a speed-up of a suite must not change its draws or
+# its verdicts
 PINNED_CHECK_CSV = {
-    "subsolution": [
+    "derivatives": (300, [
+        "suite,case,samples,failures,worst,threshold",
+        "derivatives,n=2,300,0,2.3774157585643163e-07,0.0001",
+        "derivatives,n=3,300,0,3.6616841970069269e-07,0.0001",
+        "derivatives,n=4,300,0,2.2251613071646772e-07,0.0001",
+    ]),
+    "prop21": (1000, [
+        "suite,case,samples,failures,worst,threshold",
+        'prop21,"sigma=1.7708,R=10",1000,0,0.58802452307602204,0',
+    ]),
+    "subsolution": (300, [
         "suite,case,samples,failures,worst,threshold",
         "subsolution,n=2,300,0,0.01585394915285987,0",
         "subsolution,n=3,300,0,0.013522619812049275,0",
-    ],
-    "lemma23": [
+    ]),
+    "lemma23": (300, [
         "suite,case,samples,failures,worst,threshold",
         'lemma23,"n=2,sigma=0.2000",300,0,0.10035909928805528,0',
         'lemma23,"n=2,sigma=1.5708",300,0,1.8997108335890216,0',
@@ -265,16 +276,17 @@ PINNED_CHECK_CSV = {
         'lemma23,"n=3,sigma=1.7708",300,0,0.11379152342527052,0',
         'lemma23,"n=3,sigma=3.1416",300,0,1.9467948022437831,0',
         'lemma23,"n=3,sigma=4.5124",300,0,19.909152692491872,0',
-    ],
+    ]),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(PINNED_CHECK_CSV))
 def test_check_csv_is_pinned(tmp_path, suite):
-    text = CHECK.format(suite=suite, samples=300, extra="", out="{out}")
+    samples, lines = PINNED_CHECK_CSV[suite]
+    text = CHECK.format(suite=suite, samples=samples, extra="", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 0
     got = (tmp_path / "out" / f"check_{suite}.csv").read_bytes().decode()
-    assert got == "".join(line + "\r\n" for line in PINNED_CHECK_CSV[suite])
+    assert got == "".join(line + "\r\n" for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +405,22 @@ def test_continuation_refuses_u0(tmp_path, capsys):
     assert main(["solve", _cfg(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "u0" in err and "method = newton" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target", ["kind = constant\nvalue = 0.5", "kind = hat-theta"], ids=["constant", "hat-theta"]
+)
+def test_solve_refuses_u_star_without_manufactured_target(tmp_path, capsys, target):
+    # only a manufactured target reads u_star, so a u_star it would not read is refused
+    text = (
+        CONT1.replace("N = 32", "N = 16")
+        .replace("cos x1\n", "cos x1\nu_star = 1e308 cos x1\n", 1)
+        .replace("kind = hat-theta", target)
+    )
+    assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "u_star" in err and "kind = manufactured" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -560,6 +588,9 @@ def test_surface_command(tmp_path, capsys):
     assert main(["surface", "kodaira", "--c", "1"]) == 0
     text = capsys.readouterr().out
     assert "csub_certified = true" in text
+    # lambdas (1, 0): the least phase over c in [2, 3] is arctan 2
+    assert main(["surface", "kodaira", "--m", "2", "--M", "3"]) == 0
+    assert "phase_bound = 1.10714871779\n" in capsys.readouterr().out
     assert main(["surface", "unknown"]) == 2
 
 

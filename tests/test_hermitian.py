@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhym.errors import (
-    BadIndex,
     DegenerateSpectrum,
     DimensionMismatch,
     NotPositiveDefinite,
@@ -20,11 +19,11 @@ from dhym.hermitian import (
     eig_pair_batch,
     eigenvalue_derivatives,
     lagrangian_angle_det,
-    sigma_k,
     spectral_function_derivatives,
     symmetrize,
     theta_arctan,
 )
+from dhym.phase import PhaseSpec, level_set_arithmetic
 
 from conftest import random_distinct_diag, random_hermitian, random_hpd
 
@@ -269,37 +268,26 @@ def test_spectral_derivatives_degenerate():
 
 
 # --- symmetric polynomials ---------------------------------------------------
+# phase.level_set_arithmetic counts the k in 1..n-1 with sigma_k < -1e-12
 
 
 def test_sigma_k_examples():
-    assert sigma_k([2.0, 1.0, 1.0], 1) == 4.0
-    assert sigma_k([2.0, 1.0, 1.0], 2) == 5.0
-    assert sigma_k([2.0, 1.0, 1.0], 3) == 2.0
+    # sigma_1, sigma_2 of (2, 1, 1) are 4, 5 and of (2, 1, -3) are 0, -7
+    spec = PhaseSpec(3, np.pi, 0.2)
+    _, counts = level_set_arithmetic([[2.0, 1.0, 1.0], [2.0, 1.0, -3.0]], spec)
+    assert list(counts) == [0, 1]
 
 
-def test_sigma_k_bad_index():
-    with pytest.raises(BadIndex):
-        sigma_k([1.0, 2.0], 3)
-    with pytest.raises(BadIndex):
-        sigma_k([1.0, 2.0], 0)
-
-
-@given(
-    lam=st.lists(
-        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        min_size=1,
-        max_size=4,
-    ),
-    k=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=200)
-def test_sigma_k_matches_combinations(lam, k):
-    if k > len(lam):
-        return
-    brute = sum(
-        float(np.prod(combo)) for combo in itertools.combinations(lam, k)
-    )
-    assert abs(sigma_k(lam, k) - brute) <= 1e-10 * (1.0 + abs(brute))
+def test_sigma_k_matches_combinations(rng):
+    for n in (2, 3, 4):
+        rows = -np.sort(-rng.uniform(-3.0, 3.0, (500, n)), axis=1)
+        brute = [
+            [sum(np.prod(combo) for combo in itertools.combinations(row, k)) for k in range(1, n)]
+            for row in rows
+        ]
+        _, counts = level_set_arithmetic(rows, PhaseSpec(n, (n - 1) * np.pi / 2, 0.2))
+        assert np.array_equal(counts, np.sum(np.array(brute) < -1e-12, axis=1))
+        assert 0 < np.count_nonzero(counts) < len(rows)
 
 
 def test_symmetrize_idempotent(rng):

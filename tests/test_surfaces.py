@@ -26,7 +26,9 @@ def test_catalog_invariants_across_parameters():
         model = catalog(name, **params)
         assert model.jacobi_residual() <= 1e-14
         assert model.j_squared_residual() <= 1e-14
-        assert model.holomorphic_frame_residual() <= 1e-14
+        # phi(J v) = i phi(v) on the basis: the forms are of type (1,0)
+        phi = model.invariant_forms
+        assert np.max(np.abs(phi @ model.complex_structure - 1j * phi)) <= 1e-14
         assert model.bc_dim == 1
 
 
@@ -100,6 +102,12 @@ def test_metric_positivity_enforced():
 def test_conformal_bound_trivial_factor():
     for l1, l2 in ((1.0, 0.5), (2.0, -0.3), (-0.4, -0.1)):
         assert conformal_bound(l1, l2, 1.0, 1.0) == np.arctan(l1) + np.arctan(l2)
+
+
+def test_conformal_bound_excludes_unit_factor_outside_range():
+    # the least phase over [m, M] is at an endpoint, not at c = 1 outside it
+    assert conformal_bound(1.0, 0.0, 2.0, 3.0) == np.arctan(2.0)
+    assert conformal_bound(-1.0, -1.0, 0.25, 0.5) == -2.0 * np.arctan(0.5)
 
 
 def test_conformal_bound_example():
