@@ -165,6 +165,7 @@ def cmd_solve(args) -> int:
         ("min_phase", _fmt(final.min_phase)),
         ("max_phase", _fmt(final.max_phase)),
         ("newton_iterations", str(len(report.iterates))),
+        ("newton_steps", str(sum(it.step != 0.0 for it in report.iterates))),
         ("krylov_iters", str(sum(it.krylov_iters for it in report.iterates))),
         ("continuity_stages", str(stages)),
         ("continuity_failed_attempts", str(len(report.failed_attempts))),

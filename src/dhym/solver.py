@@ -6,14 +6,19 @@ with GMRES, right-preconditioned by the exact inverse of the flat
 quarter-Laplacian: the preconditioner is fused into the operator's
 transforms (apply_linearized is L M^-1, the operator's one form), so one
 Krylov iteration costs 1 + n^2 real transforms, gmres minimizes the true
-linear residual and its own last product settles the step.  The inner
-tolerance follows an Eisenstat-Walker forcing schedule
-(loose while Newton is far from the root, krylov_tol once the residual is
-at or below FORCING_SWITCH).  A backtracking line search keeps the pointwise
-phase above the supercritical floor (n-2) pi/2.  Constant targets are
-reached by an adaptive continuation from the initial phase field: its first
-attempt is the whole path (DT_MAX = 1), and it halves the step only when a
-stage fails.
+linear residual and its own last product settles the step.  That product
+gives the constant shift, du by one inverse transform of its spectrum, and
+the n^2 Hessian planes H(du).  Since i ddbar is linear, the form of the
+trial state at step length s is chi + s H(du), so line-search trials cost
+no transform; the u a solve returns is evaluated once more from its own
+transforms, and that state is the one reported.  The inner tolerance
+follows an Eisenstat-Walker forcing schedule (loose while Newton is far
+from the root, krylov_tol once the residual is at or below
+FORCING_SWITCH).  A backtracking line search keeps the pointwise phase
+above the supercritical floor (n-2) pi/2.  Constant targets are reached by
+an adaptive continuation from the initial phase field: its first attempt
+is the whole path (DT_MAX = 1), and it halves the step only when a stage
+fails.
 
 The solver state is plane-native: a DhymProblem holds omega and chi0 as
 HermitianFormFields, whose only data are their n^2 real planes (a form
@@ -58,7 +63,7 @@ from .torus import (
     _kernel_weights,
     _phase_planes,
     _plus_hessian,
-    inverse_laplacian_quarter,
+    ifftn,
 )
 
 DT_MIN = 1.0 / 1024.0
@@ -149,7 +154,9 @@ class SolverConfig:
 class Iterate:
     """One accepted Newton state and the step that reached it.
 
-    residual_sup, min_phase and max_phase belong to the state; step is the
+    residual_sup, min_phase and max_phase belong to the state: a step's
+    state is its trial form chi + step H(du), and a solve's last state is
+    its returned u, evaluated from its own transforms.  step is the
     accepted line-search length, krylov_iters the gmres iterations run and
     eta the relative tolerance asked for (all 0 for a solve's starting
     state).  t is the continuation time and c the stage constant: 1 and the
@@ -174,7 +181,7 @@ class SolveReport:
     iterates: one record per accepted state, each solve's (or continuation
     stage's) starting state included; no accepted step has length 0, so a
     continuation stage starts at each iterate with step == 0.  c and
-    residual_sup are those of the last iterate.
+    residual_sup are those of the last iterate, which is u's own.
     failed_attempts: (t, exception class name) of each continuation stage
     attempt that failed and made the step halve, in order.
     """
@@ -210,9 +217,13 @@ class StateEval:
 
 
 def evaluate_state(u: ScalarField, c: float, prob: DhymProblem) -> StateEval:
-    """Build the planes of chi0 + i ddbar u once and derive the residual and
-    phase range from them."""
-    chi = _plus_hessian(prob.chi0.planes, u.values, prob.grid)
+    """Build the planes of chi0 + i ddbar u once (1 + n^2 transforms) and
+    derive the residual and phase range from them."""
+    return _evaluate_planes(_plus_hessian(prob.chi0.planes, u.values, prob.grid), c, prob)
+
+
+def _evaluate_planes(chi: np.ndarray, c: float, prob: DhymProblem) -> StateEval:
+    """The state whose form has the planes chi, at no transform."""
     theta = _phase_planes(prob.omega.planes, chi, prob.grid.n)
     res = theta - prob.target_values()
     res -= c  # in place: one plane less at the peak
@@ -250,13 +261,15 @@ def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
     M is the flat quarter-Laplacian: v's half spectrum is divided by its
     symbol (torus._inverse_laplacian_spectrum), and the kernel's weight
     planes multiply the Hessian planes of that quotient, at 1 + n^2
-    transforms in all.
+    transforms in all.  Returns the product, the half spectrum of M^-1 v
+    and the list of its n^2 Hessian planes.
     """
-    planes = _hessian_planes(_inverse_laplacian_spectrum(v_values, grid), grid)
-    out = kernel[0] * next(planes)
-    for weight, plane in zip(kernel[1:], planes):
+    spectrum = _inverse_laplacian_spectrum(v_values, grid)
+    planes = list(_hessian_planes(spectrum, grid))
+    out = kernel[0] * planes[0]
+    for weight, plane in zip(kernel[1:], planes[1:]):
         out += weight * plane
-    return out
+    return out, spectrum, planes
 
 
 def manufactured_problem(
@@ -298,38 +311,43 @@ def _forcing_term(sup: float, prev_sup: float | None, cfg: SolverConfig) -> floa
 
 def _solve_inner(
     kernel: np.ndarray,
-    rhs: np.ndarray,
+    res: np.ndarray,
     grid: TorusGrid,
     cfg: SolverConfig,
     eta: float,
-) -> tuple[np.ndarray, float, int]:
-    """Solve P L du = rhs on the mean-zero subspace (P = mean projector).
+) -> tuple[np.ndarray, float, int, list[np.ndarray]]:
+    """Solve P L du = -res on the mean-zero subspace (P = mean projector).
 
     gmres runs on the right-preconditioned operator P L M^-1, with M the
     flat quarter-Laplacian, so it minimizes the true residual of
-    du = M^-1 y; its last product, on the returned y, also gives mean(L du).
-    Returns du, mean(L du) (for the constant shift) and the gmres iteration
-    count; raises LinearSolveStalled unless the residual is at most eta
-    (floored at 1e-14) times the rhs norm.
+    du = M^-1 y; its last product, on the returned y, also gives mean(L du),
+    the half spectrum of M^-1 y and its Hessian planes.  Returns du (one
+    inverse transform of that spectrum), mean(L du) (for the constant
+    shift), the gmres iteration count and the n^2 Hessian planes of du;
+    raises LinearSolveStalled unless the residual is at most eta (floored
+    at 1e-14) times the rhs norm.
     """
     npts = grid.num_points
     shape = grid.shape
 
-    def project(x):
-        return x - x.mean()
-
-    last_y = last_mean = None  # gmres's latest operator input and its mean(L du)
+    # gmres's latest operator input, its mean(L du), and the spectrum and
+    # Hessian planes of M^-1 of that input
+    last = None
 
     def matvec(y):
-        nonlocal last_y, last_mean
-        out = apply_linearized(kernel, y.reshape(shape), grid)
-        last_y, last_mean = y, out.mean()
-        return (out - last_mean).ravel()
+        nonlocal last
+        last = None  # the previous call's planes go before the new ones are built
+        out, spectrum, planes = apply_linearized(kernel, y.reshape(shape), grid)
+        m = out.mean()
+        out -= m
+        last = (y, m, spectrum, planes)
+        return out.ravel()
 
-    b = project(rhs).ravel()
+    b = (res.mean() - res).ravel()  # bitwise P(-res)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(shape), 0.0, 0
+        zero = np.zeros(shape)
+        return zero, 0.0, 0, [zero] * grid.n ** 2
 
     pr_norms: list[float] = []  # one relative residual per gmres iteration
     rtol = max(eta, 1e-14)
@@ -351,10 +369,66 @@ def _solve_inner(
             f"{restart * cycles} iterations ({cycles} cycles of {restart}, "
             f"gmres info {info})"
         )
-    if y is not last_y:
+    if last is None or y is not last[0]:
         raise RuntimeError("gmres returned an iterate its last operator call did not see")
-    du = project(inverse_laplacian_quarter(y.reshape(shape), grid))
-    return du, float(last_mean), len(pr_norms)
+    _, l_du_mean, spectrum, planes = last
+    du = ifftn(spectrum, shape)
+    du -= du.mean()
+    return du, float(l_du_mean), len(pr_norms), planes
+
+
+def _trial_chi(chi: np.ndarray, hess: list[np.ndarray], step: float) -> np.ndarray:
+    """Planes of chi + step H, for the Hessian planes H of a direction: the
+    form of the trial state at that step, since i ddbar is linear and blind
+    to the mean."""
+    out = np.empty_like(chi)
+    for j, plane in enumerate(hess):
+        np.multiply(plane, step, out=out[j])
+        out[j] += chi[j]
+    return out
+
+
+def _newton_step(
+    state: StateEval,
+    u_vals: np.ndarray,
+    c: float,
+    prob: DhymProblem,
+    cfg: SolverConfig,
+    eta: float,
+) -> tuple[np.ndarray, float, StateEval, Iterate]:
+    """One damped Newton step from the state of (u_vals, c): the new u, c,
+    state and its Iterate.
+
+    The gmres solve returns du with its Hessian planes H(du), so every
+    line-search trial is evaluated from chi + step H(du) at no transform.
+    The accepted state's form therefore carries round-off that the u it
+    belongs to does not; newton_solve re-evaluates the u it returns.
+    """
+    res = state.residual.values
+    kernel = linearization_kernel(state.chi, prob)
+    du, l_du_mean, krylov_iters, hess = _solve_inner(kernel, res, prob.grid, cfg, eta)
+    dc = float(res.mean() + l_du_mean)
+    del kernel, res  # the line search needs only (du, dc) and H(du)
+
+    floor = prob.phase_floor
+    step = 1.0
+    for _ in range(LINE_SEARCH_HALVINGS):
+        trial_c = c + step * dc
+        trial = _evaluate_planes(_trial_chi(state.chi, hess, step), trial_c, prob)
+        if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
+            trial_u = u_vals + step * du
+            trial_u -= trial_u.mean()
+            return trial_u, trial_c, trial, Iterate(
+                trial.residual_sup, trial.min_phase, trial.max_phase, step,
+                krylov_iters, eta, 1.0, trial_c,
+            )
+        floor_blocked = trial.min_phase <= floor
+        del trial  # before the next trial's planes are built
+        step *= 0.5
+    # the shortest trial decides why the step was blocked
+    if floor_blocked:
+        raise PhaseFloorViolated("no step length preserves the supercritical phase floor")
+    raise MaxItersExceeded(f"line search stalled at residual_sup={state.residual_sup:.3e}")
 
 
 def newton_solve(
@@ -369,7 +443,10 @@ def newton_solve(
     _forcing_term picks, and recovers the constant shift from the residual
     mean; the backtracking line search halves the step until the sup
     residual decreases and the minimum pointwise phase stays above the
-    supercritical floor.
+    supercritical floor.  When the steps stop, at tol or after max_iters,
+    the returned u is evaluated once more from its own transforms, and that
+    state replaces the last Iterate's residual_sup and phase range; if its
+    residual is above tol and steps remain, Newton continues from it.
     """
     cfg = cfg or SolverConfig()
     grid = prob.grid
@@ -378,10 +455,9 @@ def newton_solve(
     _check_bounded(u0=u0.values)
     u_vals = u0.values - u0.values.mean()
     c = 0.0
-    floor = prob.phase_floor
 
     state = evaluate_state(ScalarField(grid, u_vals), c, prob)
-    if state.min_phase < floor:
+    if state.min_phase < prob.phase_floor:
         raise PhaseFloorViolated(
             "initial state is not supercritical for this problem"
         )
@@ -389,51 +465,35 @@ def newton_solve(
     iterates = [
         Iterate(state.residual_sup, state.min_phase, state.max_phase, 0.0, 0, 0.0, 1.0, c)
     ]
-
-    for _ in range(cfg.max_iters):
-        if state.residual_sup <= cfg.tol:
-            break
-        res = state.residual.values
+    steps = 0
+    exact = True  # state was evaluated from u_vals' own transforms
+    while True:
+        if state.residual_sup <= cfg.tol or steps == cfg.max_iters:
+            if exact:
+                break
+            u_vals = u_vals - u_vals.mean()  # the u that is returned
+            state = evaluate_state(ScalarField(grid, u_vals), c, prob)
+            exact = True
+            iterates[-1] = replace(
+                iterates[-1],
+                residual_sup=state.residual_sup,
+                min_phase=state.min_phase,
+                max_phase=state.max_phase,
+            )
+            continue
         prev_sup = iterates[-2].residual_sup if len(iterates) > 1 else None
         eta = _forcing_term(state.residual_sup, prev_sup, cfg)
-        kernel = linearization_kernel(state.chi, prob)
-        du, l_du_mean, krylov_iters = _solve_inner(kernel, -res, grid, cfg, eta)
-        dc = float(res.mean() + l_du_mean)
-        del kernel  # the line search needs only (du, dc)
+        u_vals, c, state, it = _newton_step(state, u_vals, c, prob, cfg, eta)
+        iterates.append(it)
+        steps += 1
+        exact = False
 
-        step = 1.0
-        floor_blocked = False
-        for _ in range(LINE_SEARCH_HALVINGS):
-            trial_u = u_vals + step * du
-            trial_u -= trial_u.mean()
-            trial_c = c + step * dc
-            trial = evaluate_state(ScalarField(grid, trial_u), trial_c, prob)
-            if trial.min_phase > floor and trial.residual_sup < state.residual_sup:
-                u_vals, c, state = trial_u, trial_c, trial
-                iterates.append(Iterate(
-                    state.residual_sup, state.min_phase, state.max_phase, step,
-                    krylov_iters, eta, 1.0, c,
-                ))
-                break
-            floor_blocked = trial.min_phase <= floor
-            step *= 0.5
-        else:
-            # the shortest trial decides why the step was blocked
-            if floor_blocked:
-                raise PhaseFloorViolated(
-                    "no step length preserves the supercritical phase floor"
-                )
-            raise MaxItersExceeded(
-                f"line search stalled at residual_sup={state.residual_sup:.3e}"
-            )
-    else:
-        if state.residual_sup > cfg.tol:
-            raise MaxItersExceeded(
-                f"residual_sup={state.residual_sup:.3e} > tol={cfg.tol:.3e} after "
-                f"{cfg.max_iters} iterations"
-            )
-
-    return SolveReport(ScalarField(grid, u_vals - u_vals.mean()), iterates)
+    if state.residual_sup > cfg.tol:
+        raise MaxItersExceeded(
+            f"residual_sup={state.residual_sup:.3e} > tol={cfg.tol:.3e} after "
+            f"{cfg.max_iters} iterations"
+        )
+    return SolveReport(ScalarField(grid, u_vals), iterates)
 
 
 def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> SolveReport:

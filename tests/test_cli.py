@@ -118,12 +118,16 @@ def test_solve_report_reads_the_last_state(tmp_path, monkeypatch):
         ln.split(" = ") for ln in _strip_timestamp(tmp_path / "out" / "report.txt")
     )
     assert report["final_residual_sup"] == report["residual_sup"]
-    # the phase range of the solver's last state is that of the written solution
+    # the residual and phase range of the solver's last state are those of
+    # the written solution, which the solver re-evaluated
     solution = read_field(tmp_path / "out" / "solution.dhym")
     state = evaluate_state(solution, float(report["c"]), prob)
-    assert abs(float(report["min_phase"]) - state.min_phase) <= 1e-12
-    assert abs(float(report["max_phase"]) - state.max_phase) <= 1e-12
+    assert abs(float(report["final_residual_sup"]) - state.residual_sup) <= 1e-15
+    assert abs(float(report["min_phase"]) - state.min_phase) <= 1e-15
+    assert abs(float(report["max_phase"]) - state.max_phase) <= 1e-15
     assert float(report["min_phase"]) < float(report["max_phase"])
+    # the starting state is an iterate, not a step
+    assert int(report["newton_steps"]) == int(report["newton_iterations"]) - 1 > 0
 
 
 def test_solve_hat_theta_target(tmp_path):
@@ -201,7 +205,7 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     assert len(attempts) == stages + len(failed)
     # every stage starts with an unstepped row; failed attempts leave no row
     per_step = [n for raised, steps in attempts if not raised for n in steps]
-    assert len(per_step) == len(rows) - stages
+    assert len(per_step) == len(rows) - stages == int(report["newton_steps"])
     assert int(report["krylov_iters"]) == sum(per_step)
 
 

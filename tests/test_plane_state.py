@@ -139,3 +139,29 @@ def test_cli_runs_materialize_no_form(tmp_path, monkeypatch, capsys):
     assert "method = continuity" in (tmp_path / "cont" / "report.txt").read_text()
     assert main(["angle", "--config", str(manufactured)]) == 0
     assert "hat_theta = " in capsys.readouterr().out
+
+
+def test_newton_steps_hold_no_earlier_step(monkeypatch):
+    import dhym.solver as solver
+
+    g = TorusGrid(2, 16)
+    prob, _ = _manufactured_n2(g)
+    live = []  # traced bytes at each step's kernel build
+    kernel = solver.linearization_kernel
+
+    def measuring(chi, prob):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return kernel(chi, prob)
+
+    monkeypatch.setattr(solver, "linearization_kernel", measuring)
+    newton_solve(prob, cfg=SolverConfig(tol=1e-11))  # warm the caches
+    live.clear()
+    tracemalloc.start()
+    try:
+        rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    finally:
+        tracemalloc.stop()
+    assert rep.residual_sup <= 1e-11 and len(live) > 1
+    # a step's du, Hessian planes, trial states and kernel are gone by the
+    # next step: what is live then is the state, u and the iterates
+    assert max(live) - live[0] <= g.num_points * 8

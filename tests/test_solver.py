@@ -358,15 +358,21 @@ def test_solve_inner_rejects_iterate_the_operator_never_saw(monkeypatch):
 def test_iterates_hold_the_computed_min_phase(monkeypatch):
     import dhym.solver as solver
 
-    phases = []
-    evaluate = solver.evaluate_state
+    phases, final = [], []
+    evaluate_planes, evaluate = solver._evaluate_planes, solver.evaluate_state
 
-    def recording(u, c, prob):
-        state = evaluate(u, c, prob)
+    def recording(chi, c, prob):
+        state = evaluate_planes(chi, c, prob)
         phases.append(state.min_phase)
         return state
 
-    monkeypatch.setattr(solver, "evaluate_state", recording)
+    def recording_final(u, c, prob):
+        state = evaluate(u, c, prob)
+        final.append(state.min_phase)
+        return state
+
+    monkeypatch.setattr(solver, "_evaluate_planes", recording)
+    monkeypatch.setattr(solver, "evaluate_state", recording_final)
     g = _grid1()
     ustar = ScalarField(g, 0.3 * np.cos(g.axis_coordinate("x1")))
     prob = manufactured_problem(
@@ -376,6 +382,9 @@ def test_iterates_hold_the_computed_min_phase(monkeypatch):
     assert rep.residual_sup <= SolverConfig().tol and len(rep.iterates) > 1
     # n=1 puts the floor at -pi/2, where margin + floor would not round-trip
     assert all(it.min_phase in phases for it in rep.iterates)
+    # the start and the returned u are evaluated from their own transforms
+    # (evaluate_state calls the plane core too); the last iterate is the latter
+    assert len(final) == 2 and rep.iterates[-1].min_phase == final[-1]
 
 
 def test_newton_iteration_budget():
@@ -465,52 +474,210 @@ def test_newton_floor_blocked_step_raises_phase_floor(monkeypatch):
         newton_solve(prob)
 
 
-def test_newton_evaluates_each_trial_state_once(monkeypatch):
-    import dhym.solver as solver
+def _counting_transforms(monkeypatch):
+    """Count the forward and inverse transforms of every caller: the torus
+    helpers call scipy.fft through the module torus._fft."""
     import dhym.torus as torus
 
-    counts = {"evaluate": 0, "forward": 0, "matvec": 0, "precondition": 0}
-    evaluate_orig, fftn_orig = solver.evaluate_state, torus.fftn
-    apply_orig, inverse_orig = solver.apply_linearized, solver.inverse_laplacian_quarter
+    counts = {"forward": 0, "inverse": 0}
+    rfftn, irfftn = torus._fft.rfftn, torus._fft.irfftn
 
-    def counting_evaluate(u, c, prob):
-        counts["evaluate"] += 1
-        return evaluate_orig(u, c, prob)
-
-    def counting_fftn(values):
+    def forward(*args, **kwargs):
         counts["forward"] += 1
-        return fftn_orig(values)
+        return rfftn(*args, **kwargs)
 
-    def counting_apply(kernel, v_values, grid):
-        counts["matvec"] += 1
-        return apply_orig(kernel, v_values, grid)
+    def inverse(*args, **kwargs):
+        counts["inverse"] += 1
+        return irfftn(*args, **kwargs)
 
-    def counting_inverse(rhs, grid):
-        counts["precondition"] += 1
-        return inverse_orig(rhs, grid)
+    monkeypatch.setattr(torus._fft, "rfftn", forward)
+    monkeypatch.setattr(torus._fft, "irfftn", inverse)
+    return counts
 
+
+def _manufactured_n2_small():
     g = TorusGrid(2, 8)
     ustar = ScalarField(
         g,
         0.1 * np.cos(g.axis_coordinate("x1")) + 0.05 * np.sin(g.axis_coordinate("y2")),
     )
-    prob = manufactured_problem(
+    return manufactured_problem(
         ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
     )
+
+
+def test_newton_evaluates_each_trial_state_once(monkeypatch):
+    import dhym.solver as solver
+
+    counts = {"planes": 0, "evaluate": 0, "matvec": 0}
+    planes_orig, evaluate_orig = solver._evaluate_planes, solver.evaluate_state
+    apply_orig = solver.apply_linearized
+
+    def counting_planes(chi, c, prob):
+        counts["planes"] += 1
+        return planes_orig(chi, c, prob)
+
+    def counting_evaluate(u, c, prob):
+        counts["evaluate"] += 1
+        return evaluate_orig(u, c, prob)
+
+    def counting_apply(kernel, v_values, grid):
+        counts["matvec"] += 1
+        return apply_orig(kernel, v_values, grid)
+
+    prob = _manufactured_n2_small()
+    transforms = _counting_transforms(monkeypatch)
+    monkeypatch.setattr(solver, "_evaluate_planes", counting_planes)
     monkeypatch.setattr(solver, "evaluate_state", counting_evaluate)
-    monkeypatch.setattr(torus, "fftn", counting_fftn)
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
-    monkeypatch.setattr(solver, "inverse_laplacian_quarter", counting_inverse)
     rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
     assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
     # an accepted step of length 2^-m is the (m+1)-th trial of its line search
     trials = sum(1 + round(-np.log2(it.step)) for it in rep.iterates[1:])
-    assert counts["evaluate"] == 1 + trials
-    # every forward transform outside the matvecs and the one M^-1 apply per
-    # step belongs to a state evaluation: one per trial, each done once
-    steps = len(rep.iterates) - 1
-    assert counts["matvec"] > 0 and counts["precondition"] == steps
-    assert counts["forward"] - counts["matvec"] - counts["precondition"] == 1 + trials
+    # the start and the returned u go through evaluate_state, which calls
+    # the plane core too; each trial is the plane core alone, once
+    assert counts["evaluate"] == 2
+    assert counts["planes"] == 2 + trials
+    # a forward transform feeds each matvec and each evaluate_state; no trial
+    # transforms anything
+    assert counts["matvec"] > 0
+    assert transforms["forward"] == counts["matvec"] + 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_newton_step_transform_counts(n, monkeypatch):
+    import dhym.solver as solver
+
+    prob = _manufactured_n1() if n == 1 else _manufactured_n2_small()
+    transforms = _counting_transforms(monkeypatch)
+    at_kernel = []  # transforms so far at each step's kernel
+    kernel = solver.linearization_kernel
+
+    def marking_kernel(chi, prob):
+        at_kernel.append(transforms["forward"] + transforms["inverse"])
+        return kernel(chi, prob)
+
+    monkeypatch.setattr(solver, "linearization_kernel", marking_kernel)
+    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    total = transforms["forward"] + transforms["inverse"]
+    steps = rep.iterates[1:]
+    assert rep.residual_sup <= 1e-11 and len(steps) == len(at_kernel) > 1
+    per_state = 1 + n * n  # one evaluate_state
+    # the start costs one state evaluation, the returned u another
+    assert at_kernel[0] == per_state
+    spent = np.diff(at_kernel + [total - per_state])
+    # a step of k gmres iterations runs k + 1 matvecs of 1 + n^2 transforms
+    # and one inverse transform for du; its trials cost none
+    assert spent.tolist() == [(it.krylov_iters + 1) * per_state + 1 for it in steps]
+
+
+def test_rejected_trials_cost_no_transform(monkeypatch):
+    import dataclasses
+
+    import dhym.solver as solver
+
+    prob = _manufactured_n2_small()
+    transforms = _counting_transforms(monkeypatch)
+    # the first step's first three trials read as no decrease: it halves
+    # three times and accepts the step 1/8
+    rejected = []
+    planes = solver._evaluate_planes
+
+    def rejecting(chi, c, prob):
+        state = planes(chi, c, prob)
+        if 1 <= len(rejected) < 4:
+            state = dataclasses.replace(state, residual_sup=np.inf)
+        rejected.append(state.residual_sup)
+        return state
+
+    monkeypatch.setattr(solver, "_evaluate_planes", rejecting)
+    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    assert rep.residual_sup <= 1e-11
+    assert rep.iterates[1].step == 0.125 and rejected[1:4] == [np.inf] * 3
+    # two state evaluations and the steps' matvecs and du: the three
+    # rejected trials add nothing
+    per_state = 1 + 2 * 2
+    total = 2 * per_state + sum(
+        (it.krylov_iters + 1) * per_state + 1 for it in rep.iterates[1:]
+    )
+    assert transforms["forward"] + transforms["inverse"] == total
+
+
+def test_accepted_states_match_their_own_evaluation(monkeypatch):
+    import dhym.solver as solver
+
+    accepted = []
+    step = solver._newton_step
+
+    def recording(*args):
+        out = step(*args)
+        accepted.append(out[:3])
+        return out
+
+    monkeypatch.setattr(solver, "_newton_step", recording)
+    g1, g2 = _grid1(), TorusGrid(2, 16)
+    # N = 32 and 16: a spectral Hessian's round-off grows as N^2
+    problems = [
+        manufactured_problem(
+            ScalarField(g1, 0.3 * np.cos(g1.axis_coordinate("x1"))),
+            identity_metric(g1), constant_form_field(g1, [[0.2]]), eps0=0.5,
+        ),
+        manufactured_problem(
+            ScalarField(g2, 0.1 * np.cos(g2.axis_coordinate("x1"))
+                        + 0.05 * np.sin(g2.axis_coordinate("y2"))),
+            identity_metric(g2), _varying_chi0(g2), eps0=0.3,
+        ),
+    ]
+    for prob in problems:
+        accepted.clear()
+        newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+        assert len(accepted) > 1
+        for u_vals, c, state in accepted:
+            # the trial form chi + s H(du) against the transforms of u itself
+            own = evaluate_state(ScalarField(prob.grid, u_vals), c, prob)
+            assert np.max(np.abs(state.chi - own.chi)) <= 1e-14
+            assert np.max(np.abs(state.residual.values - own.residual.values)) <= 1e-14
+            assert abs(state.residual_sup - own.residual_sup) <= 1e-14
+            assert abs(state.min_phase - own.min_phase) <= 1e-14
+            assert abs(state.max_phase - own.max_phase) <= 1e-14
+
+
+def _inflating_final_evaluation(monkeypatch, tol):
+    """Make the first re-evaluation of a returned u read 2 tol."""
+    import dataclasses
+
+    import dhym.solver as solver
+
+    calls = []
+    evaluate = solver.evaluate_state
+
+    def inflating(u, c, prob):
+        state = evaluate(u, c, prob)
+        calls.append(state)
+        if len(calls) == 2:  # calls[0] is the starting state
+            state = dataclasses.replace(state, residual_sup=2 * tol)
+        return state
+
+    monkeypatch.setattr(solver, "evaluate_state", inflating)
+    return calls
+
+
+def test_reevaluated_residual_above_tol_continues_newton(monkeypatch):
+    prob = _manufactured_n2_small()
+    cfg = SolverConfig(tol=1e-11)
+    plain = newton_solve(prob, cfg=cfg)
+    calls = _inflating_final_evaluation(monkeypatch, cfg.tol)
+    rep = newton_solve(prob, cfg=cfg)
+    # the inflated state replaced the last step's iterate, and one more step
+    # and one more re-evaluation followed from it
+    steps = len(plain.iterates) - 1
+    assert len(rep.iterates) == len(plain.iterates) + 1 and len(calls) == 3
+    assert rep.iterates[steps].residual_sup == 2 * cfg.tol
+    assert rep.iterates[-1].residual_sup == calls[-1].residual_sup <= cfg.tol
+    # out of steps, the same re-evaluation fails the solve
+    calls.clear()
+    with pytest.raises(MaxItersExceeded, match="after 3 iterations"):
+        newton_solve(prob, cfg=SolverConfig(tol=cfg.tol, max_iters=steps))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -142,6 +142,7 @@ def transform_counts(monkeypatch):
 
     monkeypatch.setattr(torus, "fftn", counting_forward)
     monkeypatch.setattr(torus, "ifftn", counting_inverse)
+    monkeypatch.setattr(solver, "ifftn", counting_inverse)  # du from a kept spectrum
     return counts
 
 
@@ -176,37 +177,53 @@ def test_preconditioned_apply_matches_inverse_then_apply(n, N):
     chi = solver.evaluate_state(ScalarField(g, u), 0.0, prob).chi
     kernel = solver.linearization_kernel(chi, prob)
     y = _field(g, 500 + N + n)
-    got = solver.apply_linearized(kernel, y, g)
-    ref = _linearized(kernel, inverse_laplacian_quarter(y, g), g)
-    assert _rel_err(got, ref) <= 1e-12
+    got, spectrum, planes = solver.apply_linearized(kernel, y, g)
+    pre = inverse_laplacian_quarter(y, g)
+    assert _rel_err(got, _linearized(kernel, pre, g)) <= 1e-12
+    # the product also returns M^-1 y, as its spectrum, and its Hessian planes
+    assert np.array_equal(torus.ifftn(spectrum, g.shape), pre)
+    assert len(planes) == n * n
+    assert _rel_err(np.stack(planes), i_ddbar(ScalarField(g, pre)).planes) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_solve_inner_operator_and_preconditioner_counts(n, monkeypatch):
+def test_solve_inner_operator_and_preconditioner_counts(n, transform_counts, monkeypatch):
+    import scipy.sparse.linalg as spla
+
     g = TorusGrid(n, 8)
     prob = _random_problem(g, 60 + n)
     state = solver.evaluate_state(ScalarField(g, np.zeros(g.shape)), 0.0, prob)
     kernel = solver.linearization_kernel(state.chi, prob)
     assert state.chi.shape == kernel.shape == (n * n,) + g.shape
-    counts = {"operator": 0, "inverse": 0}
-    apply, inverse = solver.apply_linearized, solver.inverse_laplacian_quarter
+    operator_calls = []
+    apply, gmres = solver.apply_linearized, spla.gmres
+    returned = []
 
     def counting_apply(kernel, v, grid):
-        counts["operator"] += 1
+        operator_calls.append(1)
         return apply(kernel, v, grid)
 
-    def counting_inverse(rhs, grid):
-        counts["inverse"] += 1
-        return inverse(rhs, grid)
+    def keeping_gmres(A, b, **kwargs):
+        y, info = gmres(A, b, **kwargs)
+        returned.append(y)
+        return y, info
 
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
-    monkeypatch.setattr(solver, "inverse_laplacian_quarter", counting_inverse)
-    du, l_du_mean, iters = solver._solve_inner(
-        kernel, -state.residual.values, g, solver.SolverConfig(), 1e-12
+    monkeypatch.setattr(spla, "gmres", keeping_gmres)
+    transform_counts.update(forward=0, inverse=0)
+    res = state.residual.values
+    du, l_du_mean, iters, planes = solver._solve_inner(
+        kernel, res, g, solver.SolverConfig(), 1e-12
     )
     # one restart cycle of 60: k iterations, then the cycle-end residual that
-    # also gives mean(L du); no dtype probe
+    # also gives mean(L du) and the Hessian planes of du; no dtype probe, and
+    # du is one inverse transform of the last product's spectrum
     assert 0 < iters < 60
-    assert counts == {"operator": iters + 1, "inverse": 1}
+    assert len(operator_calls) == iters + 1
+    assert transform_counts == {"forward": iters + 1, "inverse": (iters + 1) * n * n + 1}
+    # bit for bit the projected M^-1 of gmres's iterate
+    pre = inverse_laplacian_quarter(returned[0].reshape(g.shape), g)
+    assert np.array_equal(du, pre - pre.mean())
+    assert _rel_err(np.stack(planes), i_ddbar(ScalarField(g, du)).planes) <= 1e-12
     ref = _linearized(kernel, du, g)
     assert abs(l_du_mean - ref.mean()) <= 1e-12 * np.max(np.abs(ref))
