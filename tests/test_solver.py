@@ -642,12 +642,16 @@ def test_accepted_states_match_their_own_evaluation(monkeypatch):
             assert abs(state.max_phase - own.max_phase) <= 1e-14
 
 
-def _inflating_final_evaluation(monkeypatch, tol):
-    """Make the first re-evaluation of a returned u read 2 tol."""
+def test_reevaluated_residual_above_tol_continues_newton(monkeypatch):
     import dataclasses
 
     import dhym.solver as solver
 
+    prob = _manufactured_n2_small()
+    cfg = SolverConfig(tol=1e-11)
+    plain = newton_solve(prob, cfg=cfg)
+
+    # the first re-evaluation of a returned u reads 2 tol
     calls = []
     evaluate = solver.evaluate_state
 
@@ -655,18 +659,10 @@ def _inflating_final_evaluation(monkeypatch, tol):
         state = evaluate(u, c, prob)
         calls.append(state)
         if len(calls) == 2:  # calls[0] is the starting state
-            state = dataclasses.replace(state, residual_sup=2 * tol)
+            state = dataclasses.replace(state, residual_sup=2 * cfg.tol)
         return state
 
     monkeypatch.setattr(solver, "evaluate_state", inflating)
-    return calls
-
-
-def test_reevaluated_residual_above_tol_continues_newton(monkeypatch):
-    prob = _manufactured_n2_small()
-    cfg = SolverConfig(tol=1e-11)
-    plain = newton_solve(prob, cfg=cfg)
-    calls = _inflating_final_evaluation(monkeypatch, cfg.tol)
     rep = newton_solve(prob, cfg=cfg)
     # the inflated state replaced the last step's iterate, and one more step
     # and one more re-evaluation followed from it
@@ -676,7 +672,7 @@ def test_reevaluated_residual_above_tol_continues_newton(monkeypatch):
     assert rep.iterates[-1].residual_sup == calls[-1].residual_sup <= cfg.tol
     # out of steps, the same re-evaluation fails the solve
     calls.clear()
-    with pytest.raises(MaxItersExceeded, match="after 3 iterations"):
+    with pytest.raises(MaxItersExceeded, match=f"after {steps} iterations"):
         newton_solve(prob, cfg=SolverConfig(tol=cfg.tol, max_iters=steps))
 
 
