@@ -265,8 +265,8 @@ def apply_linearized(kernel: np.ndarray, v_values: np.ndarray, grid: TorusGrid):
     and the list of its n^2 Hessian planes.
     """
     spectrum = _inverse_laplacian_spectrum(v_values, grid)
-    # every plane before the product: the product's plane is not live while
-    # the transforms run, which keeps the peak where it was
+    # all planes before the product, so that the product's plane is not yet
+    # allocated while the transforms run: a lower peak
     planes = list(_hessian_planes(spectrum, grid))
     out = kernel[0] * planes[0]
     for weight, plane in zip(kernel[1:], planes[1:]):
