@@ -322,15 +322,7 @@ def test_iterates_count_operator_applications(monkeypatch):
         return apply_orig(kernel, v_values, grid)
 
     monkeypatch.setattr(solver, "apply_linearized", counting_apply)
-    g = TorusGrid(2, 8)
-    ustar = ScalarField(
-        g,
-        0.1 * np.cos(g.axis_coordinate("x1")) + 0.05 * np.sin(g.axis_coordinate("y2")),
-    )
-    prob = manufactured_problem(
-        ustar, identity_metric(g), constant_form_field(g, 0.3 * np.eye(2)), eps0=0.3
-    )
-    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    rep = newton_solve(_manufactured_n2_small(), cfg=SolverConfig(tol=1e-11))
     assert rep.residual_sup <= 1e-11 and len(rep.iterates) > 1
     iters = [it.krylov_iters for it in rep.iterates[1:]]
     assert all(0 < k < 60 for k in iters)  # one restart cycle per step
