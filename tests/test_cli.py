@@ -253,26 +253,28 @@ def test_check_suites_pass(tmp_path, suite, samples, extra):
     assert all(int(r["failures"]) == 0 for r in rows)
 
 
-# (samples, CSV lines) of each check at seed 11, at 300 samples or, for
-# prop21, its least 1000: a speed-up of a suite must not change its draws or
-# its verdicts
+# (samples, extra [check] keys, CSV lines) of each check at seed 11, at 300
+# samples or, for prop21, its least 1000, and for invariance 5 on each grid
+# (its defaults, n=1 N=32, and n=2 N=8): a speed-up or a refactor of a suite
+# must not change its draws or its verdicts.  A key is a suite name, with a
+# "-variant" suffix where one suite is pinned twice.
 PINNED_CHECK_CSV = {
-    "derivatives": (300, [
+    "derivatives": (300, "", [
         "suite,case,samples,failures,worst,threshold",
         "derivatives,n=2,300,0,2.3774157585643163e-07,0.0001",
         "derivatives,n=3,300,0,3.6616841970069269e-07,0.0001",
         "derivatives,n=4,300,0,2.2251613071646772e-07,0.0001",
     ]),
-    "prop21": (1000, [
+    "prop21": (1000, "", [
         "suite,case,samples,failures,worst,threshold",
         'prop21,"sigma=1.7708,R=10",1000,0,0.58802452307602204,0',
     ]),
-    "subsolution": (300, [
+    "subsolution": (300, "", [
         "suite,case,samples,failures,worst,threshold",
         "subsolution,n=2,300,0,0.01585394915285987,0",
         "subsolution,n=3,300,0,0.013522619812049275,0",
     ]),
-    "lemma23": (300, [
+    "lemma23": (300, "", [
         "suite,case,samples,failures,worst,threshold",
         'lemma23,"n=2,sigma=0.2000",300,0,0.10035909928805528,0',
         'lemma23,"n=2,sigma=1.5708",300,0,1.8997108335890216,0',
@@ -281,13 +283,22 @@ PINNED_CHECK_CSV = {
         'lemma23,"n=3,sigma=3.1416",300,0,1.9467948022437831,0',
         'lemma23,"n=3,sigma=4.5124",300,0,19.909152692491872,0',
     ]),
+    "invariance": (5, "", [
+        "suite,case,samples,failures,worst,threshold",
+        'invariance,"n=1,N=32",5,0,5.5511151231257827e-17,1e-10',
+    ]),
+    "invariance-n2": (5, "n = 2\nN = 8\n", [
+        "suite,case,samples,failures,worst,threshold",
+        'invariance,"n=2,N=8",5,0,2.2204460492503131e-16,1e-10',
+    ]),
 }
 
 
-@pytest.mark.parametrize("suite", sorted(PINNED_CHECK_CSV))
-def test_check_csv_is_pinned(tmp_path, suite):
-    samples, lines = PINNED_CHECK_CSV[suite]
-    text = CHECK.format(suite=suite, samples=samples, extra="", out="{out}")
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK_CSV))
+def test_check_csv_is_pinned(tmp_path, name):
+    samples, extra, lines = PINNED_CHECK_CSV[name]
+    suite = name.partition("-")[0]
+    text = CHECK.format(suite=suite, samples=samples, extra=extra, out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 0
     got = (tmp_path / "out" / f"check_{suite}.csv").read_bytes().decode()
     assert got == "".join(line + "\r\n" for line in lines)
