@@ -86,15 +86,18 @@ def _build_solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def _build_problem(cfg: RunConfig) -> DhymProblem:
+    kind = cfg.get("target", "kind", "constant")
+    # a key that only another kind reads is refused before any field is read
+    for section, key, reader in [("fields", "u_star", "manufactured"),
+                                 ("target", "value", "constant"), ("target", "path", "field")]:
+        if kind != reader and cfg.get(section, key) is not None:
+            raise ConfigError(f"[{section}] {key} is read only by [target] kind = {reader}")
     grid = parse_grid(cfg)
     omega = parse_form_spec(cfg.get("fields", "omega", "id"), grid)
     chi0 = parse_form_spec(cfg.require("fields", "chi0"), grid)
     eps0 = cfg.get_float("problem", "eps0")
     if eps0 is None:
         raise ConfigError("config needs [problem] eps0")
-    kind = cfg.get("target", "kind", "constant")
-    if kind != "manufactured" and cfg.get("fields", "u_star") is not None:
-        raise ConfigError("[fields] u_star is read only by [target] kind = manufactured")
     if kind == "constant":
         value = cfg.get_float("target", "value")
         if value is None:
@@ -187,7 +190,7 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_derivatives(samples: int, rng) -> list[dict]:
+def _suite_derivatives(cfg: RunConfig, samples: int, rng) -> list[tuple]:
     eps1, eps2 = 1e-5, 1e-4
     rows = []
     for n in (2, 3, 4):
@@ -241,15 +244,7 @@ def _suite_derivatives(samples: int, rng) -> list[dict]:
             worst_second = max(worst_second, e2, et2)
             if max(e1, et1, ed1) > 1e-6 or max(e2, et2) > 1e-4:
                 failures += 1
-        rows.append(
-            {
-                "case": f"n={n}",
-                "samples": samples,
-                "failures": failures,
-                "worst": max(worst_first, worst_second),
-                "threshold": 1e-4,
-            }
-        )
+        rows.append((f"n={n}", failures, max(worst_first, worst_second)))
     return rows
 
 
@@ -257,7 +252,7 @@ def _suite_derivatives(samples: int, rng) -> list[dict]:
 _SUBSOLUTION_BLOCK = 4096
 
 
-def _suite_subsolution(samples: int, rng) -> list[dict]:
+def _suite_subsolution(cfg: RunConfig, samples: int, rng) -> list[tuple]:
     rows = []
     for n in (2, 3):
         lo, hi = (n - 2) * np.pi / 2 + 0.1, n * np.pi / 2 - 0.1
@@ -271,15 +266,7 @@ def _suite_subsolution(samples: int, rng) -> list[dict]:
             margin, _ = is_csub_batch(mus, h)
             failures += int(np.sum((margin > 0.0) != csub_bounded_oracle_batch(mus, h)))
             worst = min(worst, float(np.min(np.abs(margin))))
-        rows.append(
-            {
-                "case": f"n={n}",
-                "samples": samples,
-                "failures": failures,
-                "worst": worst,
-                "threshold": 0.0,
-            }
-        )
+        rows.append((f"n={n}", failures, worst))
     return rows
 
 
@@ -301,7 +288,15 @@ def _level_set_points(spec: PhaseSpec, samples: int, rng) -> np.ndarray:
     return points[:samples]
 
 
-def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
+def _check_eps0(cfg: RunConfig) -> float:
+    eps0 = cfg.get_float("check", "eps0", 0.2)
+    if eps0 <= 0:
+        raise ConfigError(f"[check] eps0 = {eps0!r} must be > 0")
+    return eps0
+
+
+def _suite_level_set_arithmetic(cfg: RunConfig, samples: int, rng) -> list[tuple]:
+    eps0 = _check_eps0(cfg)
     rows = []
     for n in (2, 3):
         for sigma in (
@@ -311,19 +306,13 @@ def _suite_level_set_arithmetic(samples: int, rng, eps0: float) -> list[dict]:
         ):
             spec = PhaseSpec(n, sigma, min(eps0, sigma - (n - 2) * np.pi / 2))
             margin, counts = level_set_arithmetic(_level_set_points(spec, samples, rng), spec)
-            rows.append(
-                {
-                    "case": f"n={n},sigma={sigma:.4f}",
-                    "samples": samples,
-                    "failures": int(np.sum(margin < 0.0)) + int(np.sum(counts)),
-                    "worst": float(np.min(margin)),
-                    "threshold": 0.0,
-                }
-            )
+            failures = int(np.sum(margin < 0.0)) + int(np.sum(counts))
+            rows.append((f"n={n},sigma={sigma:.4f}", failures, float(np.min(margin))))
     return rows
 
 
-def _suite_invariance(samples: int, rng, grid_n: int, grid_N: int) -> list[dict]:
+def _suite_invariance(cfg: RunConfig, samples: int, rng) -> list[tuple]:
+    grid_n, grid_N = cfg.get_int("check", "n", 1), cfg.get_int("check", "N", 32)
     grid = TorusGrid(grid_n, grid_N)
     omega = identity_metric(grid)
     chi0 = constant_form_field(grid, 0.4 * np.eye(grid_n))
@@ -343,31 +332,30 @@ def _suite_invariance(samples: int, rng, grid_n: int, grid_N: int) -> list[dict]
         worst = max(worst, delta)
         if delta > 1e-10:
             failures += 1
-    return [
-        {
-            "case": f"n={grid_n},N={grid_N}",
-            "samples": samples,
-            "failures": failures,
-            "worst": worst,
-            "threshold": 1e-10,
-        }
-    ]
+    return [(f"n={grid_n},N={grid_N}", failures, worst)]
 
 
-def _suite_dichotomy(samples: int, seed: int, sigma: float, eps0: float, delta: float, radius: float) -> list[dict]:
-    spec = PhaseSpec(2, sigma, eps0)
+def _suite_dichotomy(cfg: RunConfig, samples: int, rng) -> list[tuple]:
+    sigma = cfg.get_float("check", "sigma", np.pi / 2 + 0.2)
+    spec = PhaseSpec(2, sigma, _check_eps0(cfg))
+    delta = cfg.get_float("check", "delta", 0.05)
+    radius = cfg.get_float("check", "radius", 10.0)
+    # the estimate draws from [check] seed itself, not from rng
     kappa = dichotomy_kappa_estimate(
-        np.eye(2), spec, delta, radius, samples=samples, seed=seed
+        np.eye(2), spec, delta, radius, samples=samples, seed=cfg.get_int("check", "seed", 0)
     )
-    return [
-        {
-            "case": f"sigma={sigma:.4f},R={radius:g}",
-            "samples": samples,
-            "failures": 0 if kappa > 0 else 1,
-            "worst": kappa,
-            "threshold": 0.0,
-        }
-    ]
+    return [(f"sigma={sigma:.4f},R={radius:g}", 0 if kappa > 0 else 1, kappa)]
+
+
+# suite: (run, the CSV's threshold column, the [check] keys run reads besides
+# suite, samples and seed); cmd_check refuses any other key
+_SUITES = {
+    "derivatives": (_suite_derivatives, 1e-4, ()),
+    "subsolution": (_suite_subsolution, 0.0, ()),
+    "lemma23": (_suite_level_set_arithmetic, 0.0, ("eps0",)),
+    "invariance": (_suite_invariance, 1e-10, ("n", "N")),
+    "prop21": (_suite_dichotomy, 0.0, ("sigma", "eps0", "delta", "radius")),
+}
 
 
 # memory grows with samples (derivatives about 11 kB a sample, lemma23 and
@@ -378,52 +366,28 @@ CHECK_SAMPLES_MAX = 100_000
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
     suite = cfg.get("check", "suite")
-    if suite not in ("subsolution", "lemma23", "invariance", "derivatives", "prop21"):
+    if suite not in _SUITES:
         raise ConfigError(f"unknown check suite {suite!r}")
+    run, threshold, keys = _SUITES[suite]
+    for key in cfg.sections["check"]:
+        if key not in ("suite", "samples", "seed", *keys):
+            raise ConfigError(f"[check] {key} is not read by suite = {suite}")
     samples = cfg.get_int("check", "samples", 100)
-    seed = cfg.get_int("check", "seed", 0)
     if not 1 <= samples <= CHECK_SAMPLES_MAX:
         raise ConfigError(f"[check] samples = {samples} outside [1, {CHECK_SAMPLES_MAX}]")
-    rng = np.random.default_rng(seed)
-
-    if suite == "derivatives":
-        rows = _suite_derivatives(samples, rng)
-    elif suite == "subsolution":
-        rows = _suite_subsolution(samples, rng)
-    elif suite == "lemma23":
-        eps0 = cfg.get_float("check", "eps0", 0.2)
-        if eps0 <= 0:
-            raise ConfigError("lemma23 needs eps0 > 0")
-        rows = _suite_level_set_arithmetic(samples, rng, eps0)
-    elif suite == "invariance":
-        rows = _suite_invariance(
-            samples,
-            rng,
-            cfg.get_int("check", "n", 1),
-            cfg.get_int("check", "N", 32),
-        )
-    else:
-        sigma = cfg.get_float("check", "sigma", np.pi / 2 + 0.2)
-        eps0 = cfg.get_float("check", "eps0", 0.2)
-        delta = cfg.get_float("check", "delta", 0.05)
-        radius = cfg.get_float("check", "radius", 10.0)
-        if eps0 <= 0:
-            raise ConfigError("prop21 needs eps0 > 0")
-        rows = _suite_dichotomy(samples, seed, sigma, eps0, delta, radius)
+    rows = run(cfg, samples, np.random.default_rng(cfg.get_int("check", "seed", 0)))
 
     out_dir = Path(cfg.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"check_{suite}.csv"
-    total_failures = 0
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["suite", "case", "samples", "failures", "worst", "threshold"])
-        for row in rows:
-            writer.writerow(
-                [suite, row["case"], row["samples"], row["failures"],
-                 _fmt(row["worst"]), _fmt(row["threshold"])]
-            )
-            total_failures += row["failures"]
+        writer.writerows(
+            [suite, case, samples, failures, _fmt(worst), _fmt(threshold)]
+            for case, failures, worst in rows
+        )
+    total_failures = sum(failures for _, failures, _ in rows)
     print(f"suite={suite} failures={total_failures} report={out_path}")
     return EXIT_OK if total_failures == 0 else 1
 

@@ -25,6 +25,7 @@ from dhym.hermitian import (
     theta_arctan,
 )
 from dhym.phase import PhaseSpec, level_set_sample_batch
+from dhym.runconfig import _SECTIONS, RunConfig
 
 MAN1 = """
 [grid]
@@ -323,11 +324,12 @@ def test_level_set_points_match_the_unfiltered_loop(n, sigma):
 
 
 def test_check_refuses_samples_above_the_ceiling(tmp_path, capsys, monkeypatch):
-    # stand-in suites, so that a broken refusal cannot start a 64 GB draw
+    # stand-in suites in the table cmd_check reads, so that a broken refusal
+    # cannot start a 64 GB draw
     started = []
-    for name in ("_suite_derivatives", "_suite_subsolution", "_suite_level_set_arithmetic",
-                 "_suite_invariance", "_suite_dichotomy"):
-        monkeypatch.setattr(dhym.cli, name, lambda *args: started.append(args) or [])
+    for suite, (_, threshold, keys) in dhym.cli._SUITES.items():
+        stand_in = (lambda cfg, samples, rng: started.append(samples) or [], threshold, keys)
+        monkeypatch.setitem(dhym.cli._SUITES, suite, stand_in)
     for suite in ("derivatives", "subsolution", "lemma23", "invariance", "prop21"):
         for samples in (CHECK_SAMPLES_MAX + 1, 10**9, 0):
             text = CHECK.format(suite=suite, samples=samples, extra="", out="{out}")
@@ -336,12 +338,32 @@ def test_check_refuses_samples_above_the_ceiling(tmp_path, capsys, monkeypatch):
         assert not started
         text = CHECK.format(suite=suite, samples=CHECK_SAMPLES_MAX, extra="", out="{out}")
         assert main(["check", _cfg(tmp_path, text)]) == 0
-        assert len(started) == 1 and CHECK_SAMPLES_MAX in started.pop()
+        assert started == [CHECK_SAMPLES_MAX]
+        started.clear()
 
 
 def test_check_rejects_zero_eps0(tmp_path):
     text = CHECK.format(suite="lemma23", samples=10, extra="eps0 = 0\n", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
+
+
+def test_check_keys_are_the_suite_table_keys():
+    # runconfig accepts a [check] key iff some suite reads it
+    read = {key for _, _, keys in dhym.cli._SUITES.values() for key in keys}
+    assert _SECTIONS["check"] == {"suite", "samples", "seed"} | read
+
+
+@pytest.mark.parametrize(
+    "suite,key",
+    [("derivatives", "sigma"), ("subsolution", "eps0"), ("lemma23", "n"),
+     ("invariance", "eps0"), ("prop21", "N")],
+)
+def test_check_refuses_a_key_its_suite_does_not_read(tmp_path, capsys, suite, key):
+    text = CHECK.format(suite=suite, samples=10, extra=f"{key} = 1\n", out="{out}")
+    assert main(["check", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"[check] {key} is not read by suite = {suite}" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -436,6 +458,27 @@ def test_solve_refuses_u_star_without_manufactured_target(tmp_path, capsys, targ
     assert main(["solve", _cfg(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "u_star" in err and "kind = manufactured" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target,key,reader",
+    [
+        ("kind = hat-theta\nvalue = 0.5", "[target] value", "constant"),
+        ("kind = field\npath = t.dhym\nvalue = 0.5", "[target] value", "constant"),
+        ("kind = constant\nvalue = 0.5\npath = t.dhym", "[target] path", "field"),
+        ("kind = manufactured\npath = t.dhym", "[target] path", "field"),
+    ],
+    ids=["value-hat-theta", "value-field", "path-constant", "path-manufactured"],
+)
+def test_solve_refuses_target_keys_its_kind_does_not_read(tmp_path, capsys, target, key, reader):
+    # chi0 names a missing file: the refusal comes before any field is read
+    text = CONT1.replace("iso 0.5 + 0.2 cos x1", f"file {tmp_path / 'missing.dhym'}").replace(
+        "kind = hat-theta", target
+    )
+    assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} is read only by [target] kind = {reader}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -591,8 +634,10 @@ def _scalar_derivative_rows(samples, rng):
 
 @pytest.mark.parametrize("seed", [11, 12345])
 def test_derivative_suite_matches_scalar_loop(seed):
-    got = _suite_derivatives(40, np.random.default_rng(seed))
-    assert got == _scalar_derivative_rows(40, np.random.default_rng(seed))
+    got = _suite_derivatives(RunConfig(), 40, np.random.default_rng(seed))
+    want = _scalar_derivative_rows(40, np.random.default_rng(seed))
+    assert got == [(row["case"], row["failures"], row["worst"]) for row in want]
+    assert {row["threshold"] for row in want} == {dhym.cli._SUITES["derivatives"][1]}
 
 
 def test_surface_command(tmp_path, capsys):
