@@ -28,11 +28,15 @@ def main():
     prob = DhymProblem(grid, omega, chi0, angle.hat_theta, eps0=0.25)
     report = continuity_solve(prob, cfg=SolverConfig(tol=1e-11))
 
+    # the continuation runs on the coarsest grid, its first iterate's; each
+    # stage starts at an iterate with step 0, then takes one per Newton step
+    path = [it for it in report.iterates if it.N == report.iterates[0].N]
+    print(f"continuation grid N = {path[0].N}, then Newton on N = "
+          f"{sorted({it.N for it in report.iterates[len(path):]})}")
     print(f"{'t':>8} {'stage constant':>16} {'iters':>6}")
-    # each stage starts at an iterate with step 0, then takes one per Newton step
-    starts = [i for i, it in enumerate(report.iterates) if it.step == 0.0]
-    for a, b in zip(starts, starts[1:] + [len(report.iterates)]):
-        it = report.iterates[a]
+    starts = [i for i, it in enumerate(path) if it.step == 0.0]
+    for a, b in zip(starts, starts[1:] + [len(path)]):
+        it = path[a]
         print(f"{it.t:>8.4f} {it.c:>16.3e} {b - a - 1:>6}")
     print(f"failed stage attempts = {len(report.failed_attempts)}")
     final = evaluate_state(report.u, report.c, prob)

@@ -1,9 +1,10 @@
 """Command-line interface: solve, check, surface, region, angle.
 
 Exit codes: 0 success, 1 a check suite reported failures, 2 configuration
-error, 3 solver failure.  All randomness flows from the config seed;
-identical config and seed reproduce byte-identical artifacts except for
-the timestamp line in the report, which comparisons should exclude.  The
+error, 3 solver failure.  All randomness flows from [check] seed (a
+non-negative integer; `dhym solve` draws nothing); identical config and
+seed reproduce byte-identical artifacts except for the timestamp line in
+the report, which comparisons should exclude.  The
 environment variable DHYM_THREADS caps the number of FFT worker threads
 (0 or unset = automatic); a value that is not an integer is a
 configuration error (exit 2) for every subcommand.
@@ -149,7 +150,10 @@ def cmd_solve(args) -> int:
 
     if method == "continuity":
         report = continuity_solve(prob, cfg=sc)
-        stages = sum(it.step == 0.0 for it in report.iterates)
+        # a stage starts at each unstepped iterate of the continuation's
+        # level, the first iterate's; finer levels start at one each too
+        level = report.iterates[0].N
+        stages = sum(it.step == 0.0 and it.N == level for it in report.iterates)
     else:
         report = newton_solve(prob, u0=u0, cfg=sc)
         stages = 0
@@ -172,14 +176,17 @@ def cmd_solve(args) -> int:
         ("krylov_iters", str(sum(it.krylov_iters for it in report.iterates))),
         ("continuity_stages", str(stages)),
         ("continuity_failed_attempts", str(len(report.failed_attempts))),
+        ("coarse_levels", str(len({it.N for it in report.iterates} - {prob.grid.N}))),
         ("final_residual_sup", _fmt(report.residual_sup)),
     ]
     _write_report(out_dir / "report.txt", pairs)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual_sup", "min_phase", "t", "b_t"])
+        writer.writerow(["iteration", "residual_sup", "min_phase", "t", "b_t", "N"])
         for i, it in enumerate(report.iterates):
-            writer.writerow([i, _fmt(it.residual_sup), _fmt(it.min_phase), _fmt(it.t), _fmt(it.c)])
+            writer.writerow(
+                [i, _fmt(it.residual_sup), _fmt(it.min_phase), _fmt(it.t), _fmt(it.c), it.N]
+            )
     print(f"converged=True residual_sup={report.residual_sup:.3e} "
           f"c={report.c:.3e} artifacts in {out_dir}")
     return EXIT_OK
@@ -375,7 +382,10 @@ def cmd_check(args) -> int:
     samples = cfg.get_int("check", "samples", 100)
     if not 1 <= samples <= CHECK_SAMPLES_MAX:
         raise ConfigError(f"[check] samples = {samples} outside [1, {CHECK_SAMPLES_MAX}]")
-    rows = run(cfg, samples, np.random.default_rng(cfg.get_int("check", "seed", 0)))
+    seed = cfg.get_int("check", "seed", 0)
+    if seed < 0:  # numpy's generators refuse it
+        raise ConfigError(f"[check] seed = {seed} must be >= 0")
+    rows = run(cfg, samples, np.random.default_rng(seed))
 
     out_dir = Path(cfg.get("output", "dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

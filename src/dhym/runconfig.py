@@ -40,7 +40,6 @@ _SECTIONS = {
         "krylov_tol",
         "krylov_iters",
         "max_iters",
-        "seed",
     },
     "check": {
         "suite",

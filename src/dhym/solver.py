@@ -20,6 +20,20 @@ an adaptive continuation from the initial phase field: its first attempt
 is the whole path (DT_MAX = 1), and it halves the step only when a stage
 fails.
 
+Solves from u = 0 (newton_solve without u0, and continuity_solve) run
+coarse to fine, by nested iteration (Brandt, Math. Comp. 31 (1977);
+Allgower, Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23 (1986)):
+the problem is injected onto N/2, ..., 8 (the even grid points of its
+varying planes and field target), the coarsest problem is solved directly,
+and each finer grid starts Newton from the coarser u, prolonged by
+zero-padding its half spectrum, and its c.  A level whose data a coarser
+grid resolves (a band-limited target, say) starts at a residual at
+round-off and takes no step, so the gain depends on the target's spectrum;
+otherwise the finer levels' steps correct the discretization difference,
+from residuals below FORCING_SWITCH.  Checks of the problem's own data come
+first, on its own grid, and a failure on any level falls back to the
+direct solve.
+
 The solver state is plane-native: a DhymProblem holds omega and chi0 as
 HermitianFormFields, whose only data are their n^2 real planes (a form
 equal at every point is one point), and each trial form
@@ -37,6 +51,7 @@ continuation stages are read.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +65,7 @@ from .errors import (
     PathStalled,
     PhaseFloorViolated,
     PhaseOutOfRange,
+    SolverError,
 )
 from .torus import (
     FORM_ENTRY_MAX,
@@ -63,6 +79,7 @@ from .torus import (
     _kernel_weights,
     _phase_planes,
     _plus_hessian,
+    fftn,
     ifftn,
 )
 
@@ -72,6 +89,8 @@ FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
 FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
+# a warm solve's step from a residual at or below this lands at round-off
+ROUND_OFF_FROM = 1e-8
 
 
 @dataclass(eq=False)
@@ -161,7 +180,7 @@ class Iterate:
     eta the relative tolerance asked for (all 0 for a solve's starting
     state).  t is the continuation time and c the stage constant: 1 and the
     state's own c in a Newton solve, the stage's t and final c in a
-    continuation.
+    continuation.  N is the grid of the state's level (see _nested_solve).
     """
 
     residual_sup: float
@@ -172,6 +191,7 @@ class Iterate:
     eta: float
     t: float
     c: float
+    N: int
 
 
 @dataclass
@@ -179,16 +199,19 @@ class SolveReport:
     """A converged solve: the solution u and the states that reached it.
 
     iterates: one record per accepted state, each solve's (or continuation
-    stage's) starting state included; no accepted step has length 0, so a
-    continuation stage starts at each iterate with step == 0.  c and
-    residual_sup are those of the last iterate, which is u's own.
-    failed_attempts: (t, exception class name) of each continuation stage
-    attempt that failed and made the step halve, in order.
+    stage's, or level's) starting state included, coarsest level first.  No
+    accepted step has length 0, so a continuation stage starts at each
+    iterate with step == 0 on the continuation's level, which is the first
+    iterate's N; each finer level starts at its first iterate with that N.
+    c and residual_sup are those of the last iterate, which is u's own.
+    failed_attempts: (t, exception class name, N) of each continuation
+    stage attempt that failed and made the step halve, in order, after the
+    failed level of a coarse-to-fine solve that fell back (t = 1.0).
     """
 
     u: ScalarField
     iterates: list[Iterate]
-    failed_attempts: list[tuple[float, str]] = field(default_factory=list)
+    failed_attempts: list[tuple[float, str, int]] = field(default_factory=list)
 
     @property
     def c(self) -> float:
@@ -296,15 +319,23 @@ def manufactured_problem(
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
 
-def _forcing_term(sup: float, prev_sup: float | None, cfg: SolverConfig) -> float:
+def _forcing_term(
+    sup: float, prev_sup: float | None, cfg: SolverConfig, warm: bool = False
+) -> float:
     """Relative gmres tolerance for a Newton step at residual sup.
 
     Eisenstat-Walker choice 2, eta = min(0.1, 0.9 (sup / prev_sup)^2), with
     0.1 on the first step of a solve, floored at krylov_tol and at
     0.1 tol / sup so that the last step is not oversolved.  At or below
     FORCING_SWITCH every step solves to krylov_tol, which keeps the final
-    iterates at round-off.
+    iterates at round-off.  A warm solve, one that starts from a coarser
+    level's solution, takes eta = min(0.1, sup) floored at krylov_tol: a
+    step from sup then lands near sup^2 (Dembo, Eisenstat and Steihaug,
+    SIAM J. Numer. Anal. 19 (1982)), and its first steps, already below
+    FORCING_SWITCH, are not solved to krylov_tol.
     """
+    if warm:
+        return max(min(ETA_MAX, sup), cfg.krylov_tol)
     if sup <= FORCING_SWITCH:
         return cfg.krylov_tol
     eta = ETA_MAX if prev_sup is None else min(ETA_MAX, 0.9 * (sup / prev_sup) ** 2)
@@ -422,7 +453,7 @@ def _newton_step(
             trial_u -= trial_u.mean()
             return trial_u, trial_c, trial, Iterate(
                 trial.residual_sup, trial.min_phase, trial.max_phase, step,
-                krylov_iters, eta, 1.0, trial_c,
+                krylov_iters, eta, 1.0, trial_c, prob.grid.N,
             )
         floor_blocked = trial.min_phase <= floor
         del trial  # before the next trial's planes are built
@@ -449,15 +480,36 @@ def newton_solve(
     the returned u is evaluated once more from its own transforms, and that
     state replaces the last Iterate's residual_sup and phase range; if its
     residual is above tol and steps remain, Newton continues from it.
+
+    Without u0 the solve starts at u = 0 and, above the coarsest grid, runs
+    coarse to fine (_nested_solve); with u0 it runs on prob's grid alone.
     """
     cfg = cfg or SolverConfig()
-    grid = prob.grid
     if u0 is None:
-        u0 = ScalarField(grid, np.zeros(grid.shape))
+        if _initial_phase(prob).min() < prob.phase_floor:
+            raise PhaseFloorViolated("initial state is not supercritical for this problem")
+        return _nested_solve(
+            prob, cfg, lambda level: _newton(level, np.zeros(level.grid.shape), 0.0, cfg)
+        )
     _check_bounded(u0=u0.values)
-    u_vals = u0.values - u0.values.mean()
-    c = 0.0
+    return _newton(prob, u0.values - u0.values.mean(), 0.0, cfg)
 
+
+def _newton(
+    prob: DhymProblem,
+    u_vals: np.ndarray,
+    c: float,
+    cfg: SolverConfig,
+    warm: bool = False,
+) -> SolveReport:
+    """newton_solve's iteration from the mean-zero u_vals and c.
+
+    A warm solve starts from a coarser level's solution: its forcing term
+    is the warm one (_forcing_term), and once at tol it takes one more step
+    if its last step started above ROUND_OFF_FROM.  That step ends the
+    solve without error if its line search finds no decrease.
+    """
+    grid = prob.grid
     state = evaluate_state(ScalarField(grid, u_vals), c, prob)
     if state.min_phase < prob.phase_floor:
         raise PhaseFloorViolated(
@@ -465,27 +517,40 @@ def newton_solve(
         )
 
     iterates = [
-        Iterate(state.residual_sup, state.min_phase, state.max_phase, 0.0, 0, 0.0, 1.0, c)
+        Iterate(state.residual_sup, state.min_phase, state.max_phase, 0.0, 0, 0.0, 1.0, c, grid.N)
     ]
     steps = 0
     exact = True  # state was evaluated from u_vals' own transforms
+    polish = warm  # one step past tol remains allowed
     while True:
-        if state.residual_sup <= cfg.tol or steps == cfg.max_iters:
-            if exact:
+        if state.residual_sup <= cfg.tol or steps >= cfg.max_iters:
+            if not exact:
+                u_vals = u_vals - u_vals.mean()  # the u that is returned
+                state = evaluate_state(ScalarField(grid, u_vals), c, prob)
+                exact = True
+                iterates[-1] = replace(
+                    iterates[-1],
+                    residual_sup=state.residual_sup,
+                    min_phase=state.min_phase,
+                    max_phase=state.max_phase,
+                )
+                continue
+            if not (
+                polish
+                and state.residual_sup <= cfg.tol
+                and steps
+                and iterates[-2].residual_sup > ROUND_OFF_FROM
+            ):
                 break
-            u_vals = u_vals - u_vals.mean()  # the u that is returned
-            state = evaluate_state(ScalarField(grid, u_vals), c, prob)
-            exact = True
-            iterates[-1] = replace(
-                iterates[-1],
-                residual_sup=state.residual_sup,
-                min_phase=state.min_phase,
-                max_phase=state.max_phase,
-            )
-            continue
+            polish = False
         prev_sup = iterates[-2].residual_sup if len(iterates) > 1 else None
-        eta = _forcing_term(state.residual_sup, prev_sup, cfg)
-        u_vals, c, state, it = _newton_step(state, u_vals, c, prob, cfg, eta)
+        eta = _forcing_term(state.residual_sup, prev_sup, cfg, warm)
+        try:
+            u_vals, c, state, it = _newton_step(state, u_vals, c, prob, cfg, eta)
+        except MaxItersExceeded:
+            if state.residual_sup > cfg.tol:
+                raise
+            break  # the step past tol found no decrease
         iterates.append(it)
         steps += 1
         exact = False
@@ -498,6 +563,12 @@ def newton_solve(
     return SolveReport(ScalarField(grid, u_vals), iterates)
 
 
+def _initial_phase(prob: DhymProblem) -> np.ndarray:
+    """The phase field of chi0, the state u = 0, at no transform (one point
+    when omega and chi0 are constant)."""
+    return _phase_planes(prob.omega.planes, prob.chi0.planes, prob.grid.n)
+
+
 def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> SolveReport:
     """March a constant-target problem from the initial phase field.
 
@@ -507,25 +578,29 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
     DT_MAX.  Each failed attempt is recorded in failed_attempts.  Stage
     solutions warm-start the next stage.  The final stage constant is the
     shift c_1, reported as a diagnostic (it vanishes for h_hat equal to the
-    averaged angle of (omega, chi0), up to discretization).
+    averaged angle of (omega, chi0), up to discretization).  Above the
+    coarsest grid the continuation runs there, and Newton carries its
+    solution to prob's grid (_nested_solve).
     """
     cfg = cfg or SolverConfig()
     if isinstance(prob.target, ScalarField):
         raise PhaseOutOfRange("continuity_solve needs a constant target")
+    if _initial_phase(prob).min() < prob.phase_floor + prob.eps0 - 1e-12:
+        raise PhaseFloorViolated("initial phase field is not supercritical")
+    return _nested_solve(prob, cfg, lambda level: _continuation(level, cfg))
+
+
+def _continuation(prob: DhymProblem, cfg: SolverConfig) -> SolveReport:
+    """continuity_solve's march on prob's grid, its checks passed."""
     grid = prob.grid
     h_hat = float(prob.target)
     # a constant omega and chi0 give a one-point phase; spread it over the grid
-    theta0 = np.broadcast_to(
-        _phase_planes(prob.omega.planes, prob.chi0.planes, grid.n), grid.shape
-    )
-    if theta0.min() < prob.phase_floor + prob.eps0 - 1e-12:
-        raise PhaseFloorViolated("initial phase field is not supercritical")
-
+    theta0 = np.broadcast_to(_initial_phase(prob), grid.shape)
     u = ScalarField(grid, np.zeros(grid.shape))
     t = 0.0
     dt = DT_MAX
     iterates: list[Iterate] = []
-    failed_attempts: list[tuple[float, str]] = []
+    failed_attempts: list[tuple[float, str, int]] = []
 
     while t < 1.0:
         t_next = min(1.0, t + dt)
@@ -534,7 +609,7 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
         try:
             report = newton_solve(stage_prob, u0=u, cfg=cfg)
         except (MaxItersExceeded, LinearSolveStalled, PhaseFloorViolated) as exc:
-            failed_attempts.append((t_next, type(exc).__name__))
+            failed_attempts.append((t_next, type(exc).__name__, grid.N))
             dt *= 0.5
             if dt < DT_MIN:
                 raise PathStalled(
@@ -548,3 +623,77 @@ def continuity_solve(prob: DhymProblem, cfg: SolverConfig | None = None) -> Solv
             dt = min(2.0 * dt, DT_MAX)
 
     return SolveReport(u, iterates, failed_attempts)
+
+
+# ---------------------------------------------------------------------------
+# coarse to fine
+# ---------------------------------------------------------------------------
+
+COARSEST_N = 8  # the smallest N of a TorusGrid
+
+
+def _inject(prob: DhymProblem) -> DhymProblem:
+    """prob on the grid of half the points per axis: the even points of
+    its varying planes and field target; collapsed forms and a constant
+    target pass through."""
+    grid = TorusGrid(prob.grid.n, prob.grid.N // 2)
+    even = (slice(None, None, 2),) * (2 * grid.n)
+
+    def form(f: HermitianFormField) -> HermitianFormField:
+        if f.planes.shape[1:] != prob.grid.shape:
+            return HermitianFormField._of_planes(grid, f.planes)
+        return HermitianFormField._of_planes(grid, f.planes[(slice(None),) + even].copy())
+
+    target = prob.target
+    if isinstance(target, ScalarField):
+        target = ScalarField(grid, target.values[even].copy())
+    return DhymProblem(grid, form(prob.omega), form(prob.chi0), target, prob.eps0)
+
+
+def _prolong(u_vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """A field on the grid of half grid's points per axis, carried to grid by
+    zero-padding its half spectrum; the coarse Nyquist modes are dropped, so
+    injecting the result gives back a Nyquist-free field."""
+    half = grid.N // 4  # the coarse grid's Nyquist wavenumber
+    coarse = fftn(u_vals)
+    # fftfreq order: wavenumbers 0..half-1 and -half+1..-1 of every full axis
+    # keep their value; the half axis keeps 0..half-1
+    src = np.r_[0:half, half + 1 : 2 * half]
+    dst = np.r_[0:half, grid.N - half + 1 : grid.N]
+    axes = [src] * (2 * grid.n - 1) + [np.arange(half)]
+    fine = np.zeros(grid.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
+    fine[np.ix_(*[dst] * (2 * grid.n - 1), np.arange(half))] = coarse[np.ix_(*axes)]
+    fine *= 2 ** (2 * grid.n)  # the point count's ratio, which the transforms scale by
+    return ifftn(fine, grid.shape)
+
+
+def _nested_solve(
+    prob: DhymProblem, cfg: SolverConfig, direct: Callable[[DhymProblem], SolveReport]
+) -> SolveReport:
+    """Solve prob coarse to fine (nested iteration).
+
+    prob is injected onto N/2, ..., COARSEST_N; direct solves the coarsest
+    problem, and on each finer grid a warm Newton solve (_newton) runs to
+    the same tol from the coarser u, prolonged, and its c.  The report
+    holds every level's iterates, coarsest first.  A SolverError on any
+    level falls back to direct(prob), whose report then lists the failure
+    first in failed_attempts, as (1.0, class name, the level's N).  At
+    N = COARSEST_N, direct(prob) is the solve.
+    """
+    levels = [prob]
+    while levels[-1].grid.N > COARSEST_N:
+        levels.append(_inject(levels[-1]))
+    level = levels.pop()
+    if level is prob:
+        return direct(prob)
+    try:
+        report = direct(level)
+        while levels:
+            level = levels.pop()
+            u = _prolong(report.u.values, level.grid)
+            fine = _newton(level, u - u.mean(), report.c, cfg, warm=True)
+            report = SolveReport(fine.u, report.iterates + fine.iterates, report.failed_attempts)
+    except SolverError as exc:
+        report = direct(prob)
+        report.failed_attempts.insert(0, (1.0, type(exc).__name__, level.grid.N))
+    return report

@@ -500,7 +500,6 @@ eps0 = 0.5
 
 [solver]
 tol = 1e-10
-seed = 42
 
 [output]
 dir = {out}

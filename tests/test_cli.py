@@ -94,7 +94,7 @@ def test_solve_manufactured_exit_zero(tmp_path):
     assert int(report["krylov_iters"]) > 0
     with open(tmp_path / "out" / "trace.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows and set(rows[0]) == {"iteration", "residual_sup", "min_phase", "t", "b_t"}
+    assert rows and set(rows[0]) == {"iteration", "residual_sup", "min_phase", "t", "b_t", "N"}
 
 
 def test_solve_report_reads_the_last_state(tmp_path, monkeypatch):
@@ -127,8 +127,9 @@ def test_solve_report_reads_the_last_state(tmp_path, monkeypatch):
     assert abs(float(report["min_phase"]) - state.min_phase) <= 1e-15
     assert abs(float(report["max_phase"]) - state.max_phase) <= 1e-15
     assert float(report["min_phase"]) < float(report["max_phase"])
-    # the starting state is an iterate, not a step
-    assert int(report["newton_steps"]) == int(report["newton_iterations"]) - 1 > 0
+    # the starting state of each level is an iterate, not a step
+    levels = 1 + int(report["coarse_levels"])
+    assert int(report["newton_steps"]) == int(report["newton_iterations"]) - levels > 0
 
 
 def test_solve_hat_theta_target(tmp_path):
@@ -163,8 +164,8 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     from dhym.errors import SolverError
 
     gmres = spla.gmres
-    newton_solve = solver.newton_solve
-    attempts = []  # [raised, gmres iterations of each step] per stage attempt
+    newton = solver._newton
+    attempts = []  # [raised, gmres iterations of each step] per Newton solve
 
     def counting(A, b, **kwargs):
         # gmres reports one pr_norm per iteration to the solver's callback
@@ -182,13 +183,14 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     def attempt(*args, **kwargs):
         attempts.append([False, []])
         try:
-            return newton_solve(*args, **kwargs)
+            return newton(*args, **kwargs)
         except SolverError:
             attempts[-1][0] = True
             raise
 
     monkeypatch.setattr(spla, "gmres", counting)
-    monkeypatch.setattr(solver, "newton_solve", attempt)
+    # every Newton solve: each stage attempt, then each finer level
+    monkeypatch.setattr(solver, "_newton", attempt)
     # three Newton steps per stage: the whole path fails and the step halves
     text = CONT1.replace("tol = 1e-11", "tol = 1e-11\nmax_iters = 3")
     assert main(["solve", _cfg(tmp_path, text)]) == 0
@@ -201,12 +203,17 @@ def test_solve_trace_rows_match_report_counts(tmp_path, monkeypatch):
     assert stages > 1
     assert [int(r["iteration"]) for r in rows] == list(range(len(rows)))
     assert int(report["newton_iterations"]) == len(rows)
+    # the continuation's level, then each finer one, in order
+    grids = [int(r["N"]) for r in rows]
+    levels = int(report["coarse_levels"])
+    assert grids == sorted(grids) and len(set(grids)) == 1 + levels == 3
     failed = [steps for raised, steps in attempts if raised]
     assert int(report["continuity_failed_attempts"]) == len(failed) > 0
-    assert len(attempts) == stages + len(failed)
-    # every stage starts with an unstepped row; failed attempts leave no row
+    assert len(attempts) == stages + levels + len(failed)
+    # every stage and finer level starts with an unstepped row; failed
+    # attempts leave no row
     per_step = [n for raised, steps in attempts if not raised for n in steps]
-    assert len(per_step) == len(rows) - stages == int(report["newton_steps"])
+    assert len(per_step) == len(rows) - stages - levels == int(report["newton_steps"])
     assert int(report["krylov_iters"]) == sum(per_step)
 
 
@@ -345,6 +352,24 @@ def test_check_refuses_samples_above_the_ceiling(tmp_path, capsys, monkeypatch):
 def test_check_rejects_zero_eps0(tmp_path):
     text = CHECK.format(suite="lemma23", samples=10, extra="eps0 = 0\n", out="{out}")
     assert main(["check", _cfg(tmp_path, text)]) == 2
+
+
+@pytest.mark.parametrize("suite", ["subsolution", "prop21"])
+def test_check_refuses_a_negative_seed(tmp_path, capsys, suite):
+    # subsolution draws from the command's generator, prop21 from its own
+    text = CHECK.format(suite=suite, samples=10, extra="", out="{out}")
+    assert main(["check", _cfg(tmp_path, text.replace("seed = 11", "seed = -1"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "[check] seed = -1 must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_refuses_a_solver_seed(tmp_path, capsys):
+    # dhym solve draws nothing, so [solver] seed is an unknown key
+    text = MAN1.replace("tol = 1e-11", "tol = 1e-11\nseed = 42")
+    assert main(["solve", _cfg(tmp_path, text)]) == 2
+    assert "unknown key 'seed' in section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_keys_are_the_suite_table_keys():

@@ -181,7 +181,8 @@ def test_newton_trivial_start_is_converged():
     prob = DhymProblem(g, om, chi0, theta_field(om, chi0), eps0=0.5)
     rep = newton_solve(prob)
     assert rep.residual_sup <= SolverConfig().tol
-    assert len(rep.iterates) == 1
+    # every level, coarse to fine, is converged at its start
+    assert [(it.N, it.step) for it in rep.iterates] == [(8, 0.0), (16, 0.0), (32, 0.0)]
     assert rep.c == 0.0
     assert np.max(np.abs(rep.u.values)) == 0.0
 
@@ -264,6 +265,12 @@ def _manufactured_n1():
     )
 
 
+def _zero(prob):
+    """The start u = 0 given explicitly: newton_solve then runs on prob's
+    grid alone, with no coarser level."""
+    return ScalarField(prob.grid, np.zeros(prob.grid.shape))
+
+
 def test_forcing_tightens_to_krylov_tol_below_switch(monkeypatch):
     import scipy.sparse.linalg as spla
 
@@ -278,7 +285,8 @@ def test_forcing_tightens_to_krylov_tol_below_switch(monkeypatch):
 
     monkeypatch.setattr(spla, "gmres", spy)
     cfg = SolverConfig(tol=1e-11)
-    rep = newton_solve(_manufactured_n1(), cfg=cfg)
+    prob = _manufactured_n1()
+    rep = newton_solve(prob, u0=_zero(prob), cfg=cfg)
     assert rep.residual_sup <= cfg.tol
     sups = [it.residual_sup for it in rep.iterates[: len(rtols)]]
     assert len(rtols) == len(rep.iterates) - 1
@@ -370,7 +378,7 @@ def test_iterates_hold_the_computed_min_phase(monkeypatch):
     prob = manufactured_problem(
         ustar, identity_metric(g), constant_form_field(g, [[0.2]]), eps0=0.5
     )
-    rep = newton_solve(prob)
+    rep = newton_solve(prob, u0=_zero(prob))
     assert rep.residual_sup <= SolverConfig().tol and len(rep.iterates) > 1
     # n=1 puts the floor at -pi/2, where margin + floor would not round-trip
     assert all(it.min_phase in phases for it in rep.iterates)
@@ -550,7 +558,7 @@ def test_newton_step_transform_counts(n, monkeypatch):
         return kernel(chi, prob)
 
     monkeypatch.setattr(solver, "linearization_kernel", marking_kernel)
-    rep = newton_solve(prob, cfg=SolverConfig(tol=1e-11))
+    rep = newton_solve(prob, u0=_zero(prob), cfg=SolverConfig(tol=1e-11))
     total = transforms["forward"] + transforms["inverse"]
     steps = rep.iterates[1:]
     assert rep.residual_sup <= 1e-11 and len(steps) == len(at_kernel) > 1
@@ -601,9 +609,9 @@ def test_accepted_states_match_their_own_evaluation(monkeypatch):
     accepted = []
     step = solver._newton_step
 
-    def recording(*args):
-        out = step(*args)
-        accepted.append(out[:3])
+    def recording(state, u_vals, c, level, *args):
+        out = step(state, u_vals, c, level, *args)
+        accepted.append(out[:3] + (level,))
         return out
 
     monkeypatch.setattr(solver, "_newton_step", recording)
@@ -624,9 +632,10 @@ def test_accepted_states_match_their_own_evaluation(monkeypatch):
         accepted.clear()
         newton_solve(prob, cfg=SolverConfig(tol=1e-11))
         assert len(accepted) > 1
-        for u_vals, c, state in accepted:
-            # the trial form chi + s H(du) against the transforms of u itself
-            own = evaluate_state(ScalarField(prob.grid, u_vals), c, prob)
+        for u_vals, c, state, level in accepted:
+            # the trial form chi + s H(du) against the transforms of u itself,
+            # on the grid of its level
+            own = evaluate_state(ScalarField(level.grid, u_vals), c, level)
             assert np.max(np.abs(state.chi - own.chi)) <= 1e-14
             assert np.max(np.abs(state.residual.values - own.residual.values)) <= 1e-14
             assert abs(state.residual_sup - own.residual_sup) <= 1e-14
@@ -842,15 +851,21 @@ def test_continuity_iterates_carry_their_stage():
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.25)
     # three Newton steps per stage: the path halves, then doubles again
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=3))
+    # the continuation runs on the coarsest grid, and Newton carries it to
+    # each finer one at t = 1
+    level = rep.iterates[0].N
+    path = [it for it in rep.iterates if it.N == level]
+    assert rep.iterates[: len(path)] == path and level < g.N
+    assert all(it.t == 1.0 for it in rep.iterates[len(path):])
     # each stage records its starting state (step 0), then one state per Newton step
-    starts = [i for i, it in enumerate(rep.iterates) if it.step == 0.0]
-    stages = [rep.iterates[a:b] for a, b in zip(starts, starts[1:] + [None])]
+    starts = [i for i, it in enumerate(path) if it.step == 0.0]
+    stages = [path[a:b] for a, b in zip(starts, starts[1:] + [None])]
     assert rep.residual_sup <= 1e-11 and starts[0] == 0 and len(stages) > 1
     # every state of a stage carries the stage's t and final c
     assert all(len({(it.t, it.c) for it in stage}) == 1 for stage in stages)
     ts = [stage[0].t for stage in stages]
     assert ts == sorted(set(ts)) and ts[-1] == 1.0
-    assert stages[-1][-1].c == rep.c
+    assert stages[-1][-1].c == rep.iterates[len(path)].c
 
 
 def test_continuity_takes_the_whole_path_in_one_stage():
@@ -878,7 +893,7 @@ def test_continuity_records_failed_attempts():
     prob = DhymProblem(g, om, chi0, hat_theta(om, chi0).hat_theta, eps0=0.2)
     rep = continuity_solve(prob, cfg=SolverConfig(tol=1e-11, max_iters=4))
     assert rep.residual_sup <= 1e-11
-    assert rep.failed_attempts == [(1.0, "MaxItersExceeded")]
+    assert rep.failed_attempts == [(1.0, "MaxItersExceeded", 8)]
     assert [it.t for it in rep.iterates if it.step == 0.0] == [0.5, 1.0]
 
 
