@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 a check suite reported failures, 2 configuration
 error, 3 solver failure.  All randomness flows from [check] seed (a
 non-negative integer; `dhym solve` draws nothing); identical config and
 seed reproduce byte-identical artifacts except for the timestamp line in
-the report, which comparisons should exclude.  The
-environment variable DHYM_THREADS caps the number of FFT worker threads
-(0 or unset = automatic); a value that is not an integer is a
-configuration error (exit 2) for every subcommand.
+the report, which comparisons should exclude.  Grids below 2^18
+points (every n=1 grid, n=2 up to N=16) transform on one thread; on the
+rest the environment variable DHYM_THREADS caps the number of FFT worker
+threads (0 or unset = automatic).  A DHYM_THREADS that is not an integer
+is a configuration error (exit 2) for every subcommand, whatever the grid.
 """
 
 from __future__ import annotations

@@ -131,7 +131,14 @@ _TERM_SEPARATOR = re.compile(r"(?<![0-9.][eE])\+")
 
 
 def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
-    """Build a scalar field from a term-list specification."""
+    """Build a scalar field from a term-list specification.
+
+    Each cos/sin term is evaluated along its own axis only, and the sum is
+    taken at the broadcast shape of the terms so far (one point for a
+    constant spec); the grid is materialized once, at the end.  A term whose
+    |frequency| exceeds N/2 (it would alias on the grid) and a sum that is
+    not finite are refused.
+    """
     spec = spec.strip()
     if spec == "zero" or spec == "0":
         return ScalarField(grid, np.zeros(grid.shape))
@@ -140,7 +147,7 @@ def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
         if not isinstance(f, ScalarField) or f.grid != grid:
             raise ConfigError(f"{spec!r}: not a scalar field on the config grid")
         return f
-    values = np.zeros(grid.shape)
+    values = np.zeros((1,) * (2 * grid.n))
     for term in _TERM_SEPARATOR.split(spec):
         tokens = term.split()
         if not tokens:
@@ -150,7 +157,8 @@ def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
         except ValueError as exc:
             raise ConfigError(f"bad amplitude in term {term!r}") from exc
         if len(tokens) == 1:
-            values = values + amp
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = values + amp
             continue
         fn = tokens[1]
         if fn not in ("cos", "sin"):
@@ -167,9 +175,19 @@ def parse_scalar_spec(spec: str, grid: TorusGrid) -> ScalarField:
             raise ConfigError(f"bad term {term!r}")
         if axis not in grid.axis_names:
             raise ConfigError(f"axis {axis!r} not valid for n={grid.n}")
-        coord = grid.axis_coordinate(axis)
-        values = values + amp * (np.cos if fn == "cos" else np.sin)(freq * coord)
-    return ScalarField(grid, values)
+        if abs(freq) > grid.N // 2:
+            raise ConfigError(
+                f"frequency {freq} in term {term.strip()!r} exceeds N/2 = {grid.N // 2} "
+                f"for N={grid.N}"
+            )
+        # the axis's coordinates, at shape (1, ..., N, ..., 1)
+        line = tuple(slice(None) if a == axis else slice(0, 1) for a in grid.axis_names)
+        coord = grid.axis_coordinate(axis)[line]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = values + amp * (np.cos if fn == "cos" else np.sin)(freq * coord)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"field spec {spec!r} has a non-finite value")
+    return ScalarField(grid, np.broadcast_to(values, grid.shape).copy())
 
 
 def parse_form_spec(spec: str, grid: TorusGrid) -> HermitianFormField:

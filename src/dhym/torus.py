@@ -10,12 +10,14 @@ are materialized on demand, for file output and the eigenvalue reference.
 
 The complex Hessian operator i ddbar is realized with Fourier multipliers
 on the half spectrum of real-to-complex transforms (fftn/ifftn below are the
-rfftn/irfftn pair).  One forward transform of a real field u gives its n^2
-real Hessian planes, in the plane order above; each plane is the inverse
-transform of a real, even symbol times the half spectrum.  The symbols are
-products of per-axis wavenumber vectors, which are cached.  The solver's
-preconditioned operator feeds the planes a half spectrum divided by the
-quarter-Laplacian symbol (_inverse_laplacian_spectrum), at no extra transform.
+rfftn/irfftn pair; ifftn consumes the spectrum it is given, which it
+transforms in place).  One forward transform of a real field u gives its
+n^2 real Hessian planes, in the plane order above; each plane is the
+inverse transform of a real, even symbol times the half spectrum.  The
+symbols are products of per-axis wavenumber vectors, which are cached.  The
+solver's preconditioned operator feeds the planes a half spectrum divided by
+the quarter-Laplacian symbol (_inverse_laplacian_spectrum), at no extra
+transform.
 
 The phase, its linearization kernel and the averaged angle all derive from
 the pointwise complex form omega + i chi: the phase sum(arctan(lambda_i)) is
@@ -33,6 +35,7 @@ bounds its problem's, so the closed forms cannot overflow.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -50,7 +53,9 @@ FORM_ENTRY_MAX = 1e64
 
 
 def _fft_workers() -> int:
-    """Transform thread count; DHYM_THREADS caps it (0 or unset = auto).
+    """Transform thread count on grids of 2^18 points or more (n=2 from
+    N=32); DHYM_THREADS caps it (0 or unset = auto).  Smaller grids
+    transform on one thread whatever it says (_workers_for).
 
     This is the only reader of DHYM_THREADS; a non-integer value raises
     ConfigError.  The transform result is bit-identical for any worker
@@ -66,14 +71,32 @@ def _fft_workers() -> int:
     return width
 
 
+# Grids below this many points (every n=1 grid, n=2 up to N=16) transform on
+# one thread: a second one costs more to start than it saves there.
+_SERIAL_POINTS = 2**18
+
+
+def _workers_for(shape: tuple[int, ...]) -> int:
+    """Worker count for a transform on a grid of this shape; reads
+    DHYM_THREADS on every call, so a malformed value is refused anywhere."""
+    workers = _fft_workers()
+    return 1 if math.prod(shape) < _SERIAL_POINTS else workers
+
+
 def fftn(values: np.ndarray) -> np.ndarray:
     """Half spectrum of a real field (last axis N // 2 + 1 long)."""
-    return _fft.rfftn(values, workers=_fft_workers())
+    return _fft.rfftn(values, workers=_workers_for(values.shape))
 
 
 def ifftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Real field of the given grid shape from its half spectrum."""
-    return _fft.irfftn(values, s=shape, workers=_fft_workers())
+    """Real field of the given grid shape from its half spectrum, which is
+    consumed: the full axes are transformed in place, then the half axis
+    into the one real output.  Bit-identical to scipy's irfftn, which copies
+    the whole spectrum first."""
+    workers = _workers_for(shape)
+    full_axes = tuple(range(values.ndim - 1))
+    values = _fft.ifftn(values, axes=full_axes, overwrite_x=True, workers=workers)
+    return _fft.irfft(values, n=shape[-1], axis=-1, workers=workers)
 
 
 @dataclass(frozen=True)

@@ -459,6 +459,34 @@ def test_solve_refuses_huge_potential_without_overflow(tmp_path, capsys, key):
     assert f"BadRange: {key} has an entry" in err and "1e+64" in err
 
 
+@pytest.mark.parametrize("key", ["u_star", "omega"])
+def test_solve_refuses_overflowing_spec_without_warning(tmp_path, capsys, key):
+    # two finite terms whose sum overflows, in u_star or under omega = iso
+    spec = "1e308 cos x1 + 1e308 cos y1"
+    fields = {"u_star": f"u_star = {spec}", "omega": f"omega = iso {spec}"}
+    text = MAN1.replace("n = 1\nN = 64", "n = 2\nN = 8").replace(
+        {"u_star": "u_star = 0.3 cos x1", "omega": "omega = id"}[key], fields[key]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        assert main(["solve", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{spec!r} has a non-finite value" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("freq,code", [("4", 0), ("-4", 0), ("5", 2), ("99999999999999999999999", 2)])
+def test_solve_refuses_frequencies_the_grid_cannot_hold(tmp_path, capsys, freq, code):
+    # an n=1 N=8 manufactured run: N/2 = 4 is the highest frequency it holds
+    text = MAN1.replace("N = 64", "N = 8").replace(
+        "u_star = 0.3 cos x1", f"u_star = 0.1 cos {freq} x1"
+    )
+    assert main(["solve", _cfg(tmp_path, text)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error:") and f"'0.1 cos {freq} x1'" in err and "N=8" in err
+
+
 def test_continuation_refuses_u0(tmp_path, capsys):
     # continuity always starts from u = 0, so a u0 it would not read is refused
     text = CONT1.replace("N = 32", "N = 16").replace(

@@ -1,6 +1,8 @@
 """Binary field files and run configuration parsing."""
 
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,76 @@ def test_scalar_spec_exponent_signs():
     assert np.array_equal(parse_scalar_spec("3e+0", g).values, np.full(g.shape, 3.0))
     with pytest.raises(ConfigError, match="bad amplitude"):
         parse_scalar_spec("3e+ + 1", g)
+
+
+# every scalar spec of the solve pins, the acceptance configs and the solve
+# workloads (manufactured-n2's u_star at seeds 7 and 11), plus constants
+SPECS = [
+    "0.2",
+    "0.3",
+    "-0.0",
+    "0.5 + 0.2 cos x1",
+    "0.3 cos x1",
+    "0.3 cos x1 + 0.1 sin 2 y1",
+    "0.05 sin x1 + 0.02 cos y1",
+    "0.1 cos x1 + 0.05 sin y2",
+    "0.07986036655177618 cos 1 y1 + -0.06018572799440039 sin 1 y1 + "
+    "0.00803441381798837 cos 1 y2 + -0.04935026032962053 sin 1 y2",
+    "-0.09999897063626384 cos 1 x1 + 0.00045373085374987067 sin 1 x1 + "
+    "-0.040172377202380864 cos 1 x2 + -0.02976877743390935 sin 1 x2",
+]
+
+
+def _full_grid_spec(spec, g):
+    """The spec summed term by term on the full grid, as a reference."""
+    values = np.zeros(g.shape)
+    for term in spec.split(" + "):
+        amp, *rest = term.split()
+        if not rest:
+            values = values + float(amp)
+            continue
+        fn, *freq, axis = rest
+        coord = g.axis_coordinate(axis)
+        values = values + float(amp) * getattr(np, fn)(int(freq[0] if freq else 1) * coord)
+    return values
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    # a spec on an axis of z2 only at n=2
+    [(spec, n) for spec in SPECS for n in (1, 2) if n == 2 or not re.search(r"[xy]2", spec)],
+    ids=lambda v: v if isinstance(v, int) else f"spec{SPECS.index(v)}",
+)
+@pytest.mark.parametrize("big_n", [8, 16, 32, 64])
+def test_scalar_spec_matches_full_grid_evaluation(spec, n, big_n):
+    g = TorusGrid(n, big_n)
+    want = _full_grid_spec(spec, g)
+    got = parse_scalar_spec(spec, g).values
+    assert got.shape == g.shape and got.flags.writeable
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+
+
+@pytest.mark.parametrize("spec", ["1e308 cos x1 + 1e308 cos y1", "1e308 + 1e308", "inf"])
+def test_scalar_spec_refuses_overflow_without_warning(spec):
+    g = TorusGrid(2, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        with pytest.raises(ConfigError, match="non-finite") as info:
+            parse_scalar_spec(spec, g)
+    assert repr(spec) in str(info.value)
+
+
+@pytest.mark.parametrize("big_n", [8, 16])
+def test_scalar_spec_refuses_frequencies_above_half_the_grid(big_n):
+    g = TorusGrid(1, big_n)
+    half = big_n // 2
+    for freq in (half, -half):
+        got = parse_scalar_spec(f"0.1 cos {freq} x1", g).values
+        assert np.array_equal(got, _full_grid_spec(f"0.1 cos {freq} x1", g))
+    for freq in (half + 1, -half - 1, 99999999999999999999999):
+        term = f"0.1 sin {freq} y1"
+        with pytest.raises(ConfigError, match=f"{term!r}.*N={big_n}"):
+            parse_scalar_spec(f"0.5 + {term}", g)
 
 
 def test_scalar_spec_rejects_bad_axis():

@@ -1,8 +1,12 @@
 """Spectral torus calculus: complex Hessian, phase field, averaged angle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.fft
 
+import dhym.torus as torus
 from dhym.errors import DimensionMismatch, NotPositiveDefinite
 from dhym.hermitian import dF, eig_pair, eig_pair_batch, lagrangian_angle_det, symmetrize
 from dhym.torus import (
@@ -16,6 +20,7 @@ from dhym.torus import (
     hat_theta,
     i_ddbar,
     identity_metric,
+    inverse_laplacian_quarter,
     pencil_eigenvalues,
     theta_field,
 )
@@ -73,6 +78,50 @@ def test_form_fields_reject_non_finite(bad):
 
 
 # --- i_ddbar ----------------------------------------------------------------
+
+
+# every grid of both dimensions up to n=2 N=32 (the largest an inverse is
+# cheap to check against scipy at)
+TRANSFORM_GRIDS = [(1, 8), (1, 16), (1, 32), (1, 64), (2, 8), (2, 16), (2, 32)]
+
+
+@pytest.mark.parametrize("n,N", TRANSFORM_GRIDS)
+@pytest.mark.parametrize("amp", [1e-20, 1.0, 1e20])
+def test_ifftn_matches_scipy_irfftn(n, N, amp):
+    # random half spectra: the self-conjugate bins (every index 0 or N/2)
+    # carry imaginary parts, which both routes must treat alike
+    g = TorusGrid(n, N)
+    rng = np.random.default_rng(N + n)
+    half = g.shape[:-1] + (N // 2 + 1,)
+    spectrum = amp * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
+    assert all(spectrum[(k,) * (2 * n)].imag != 0 for k in (0, N // 2))
+    want = scipy.fft.irfftn(spectrum, s=g.shape)
+    got = torus.ifftn(spectrum.copy(), g.shape)
+    assert got.shape == g.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,N", TRANSFORM_GRIDS)
+def test_transform_workers_by_grid_size(n, N, monkeypatch):
+    # one worker below 2^18 points (n=1, and n=2 to N=16), _fft_workers() above
+    monkeypatch.setenv("DHYM_THREADS", "3")
+    seen = []
+
+    def recording(name):
+        real = getattr(scipy.fft, name)
+
+        def call(*args, workers, **kwargs):
+            seen.append((name, workers))
+            return real(*args, workers=workers, **kwargs)
+
+        return call
+
+    names = ("rfftn", "ifftn", "irfft")
+    monkeypatch.setattr(torus, "_fft", SimpleNamespace(**{k: recording(k) for k in names}))
+    g = TorusGrid(n, N)
+    inverse_laplacian_quarter(np.random.default_rng(N).standard_normal(g.shape), g)
+    want = 1 if N ** (2 * n) < 2**18 else torus._fft_workers()
+    assert want == (3 if (n, N) == (2, 32) else 1)
+    assert seen == [("rfftn", want), ("ifftn", want), ("irfft", want)]
 
 
 def test_i_ddbar_constant_is_zero():
