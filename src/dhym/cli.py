@@ -8,7 +8,8 @@ the report, which comparisons should exclude.  Grids below 2^18
 points (every n=1 grid, n=2 up to N=16) transform on one thread; on the
 rest the environment variable DHYM_THREADS caps the number of FFT worker
 threads (0 or unset = automatic).  A DHYM_THREADS that is not an integer
-is a configuration error (exit 2) for every subcommand, whatever the grid.
+>= 0 is a configuration error (exit 2) for every subcommand, whatever the
+grid.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ def _build_solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(
         tol=cfg.get_float("solver", "tol", SolverConfig.tol),
         max_iters=cfg.get_int("solver", "max_iters", SolverConfig.max_iters),
-        krylov_tol=cfg.get_float("solver", "krylov_tol", SolverConfig.krylov_tol),
-        krylov_iters=cfg.get_int("solver", "krylov_iters", SolverConfig.krylov_iters),
     )
 
 

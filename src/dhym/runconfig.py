@@ -33,14 +33,7 @@ _SECTIONS = {
     "fields": {"omega", "chi0", "u0", "u_star"},
     "target": {"kind", "value", "path"},
     "problem": {"eps0"},
-    "solver": {
-        "method",
-        "tol",
-        "krylov",
-        "krylov_tol",
-        "krylov_iters",
-        "max_iters",
-    },
+    "solver": {"method", "tol", "krylov", "max_iters"},
     "check": {
         "suite",
         "samples",

@@ -13,7 +13,7 @@ trial state at step length s is chi + s H(du), so line-search trials cost
 no transform; the u a solve returns is evaluated once more from its own
 transforms, and that state is the one reported.  The inner tolerance
 follows an Eisenstat-Walker forcing schedule (loose while Newton is far
-from the root, krylov_tol once the residual is at or below
+from the root, KRYLOV_TOL once the residual is at or below
 FORCING_SWITCH).  A backtracking line search keeps the pointwise phase
 above the supercritical floor (n-2) pi/2.  Constant targets are reached by
 an adaptive continuation from the initial phase field: its first attempt
@@ -87,7 +87,10 @@ DT_MIN = 1.0 / 1024.0
 DT_MAX = 1.0  # continuation first tries the whole path
 FAST_STAGE_ITERS = 4  # continuation doubles dt after a stage this fast
 ETA_MAX = 0.1  # loosest relative gmres tolerance of a Newton step
-FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to krylov_tol
+FORCING_SWITCH = 1e-4  # residual_sup at or below which gmres solves to KRYLOV_TOL
+KRYLOV_TOL = 1e-12  # tightest relative gmres tolerance of a Newton step
+GMRES_RESTART = 60  # gmres restarts after this many iterations
+GMRES_CYCLES = 6  # and stalls after this many restart cycles
 LINE_SEARCH_HALVINGS = 40  # trial step lengths 1, 1/2, ..., 2^-39 per Newton step
 # a warm solve's step from a residual at or below this lands at round-off
 ROUND_OFF_FROM = 1e-8
@@ -154,19 +157,12 @@ class DhymProblem:
 class SolverConfig:
     tol: float = 1e-10
     max_iters: int = 40
-    krylov_tol: float = 1e-12
-    krylov_iters: int = 400
 
     def __post_init__(self):
-        # positive comparisons, so that NaN fails; gmres would accept the
-        # zero iterate at a relative tolerance of 1 or more
-        if not (
-            self.tol > 0
-            and 0 < self.krylov_tol < 1
-            and self.max_iters >= 1
-            and self.krylov_iters >= 1
-        ):
-            raise ConfigError("solver tolerances must be positive, with krylov_tol below 1")
+        if not self.tol > 0:  # so that NaN fails too
+            raise ConfigError(f"solver tol={self.tol!r} must be positive")
+        if not self.max_iters >= 1:
+            raise ConfigError(f"solver max_iters={self.max_iters!r} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -319,35 +315,29 @@ def manufactured_problem(
     return DhymProblem(grid=grid, omega=omega, chi0=chi0, target=target, eps0=eps0)
 
 
-def _forcing_term(
-    sup: float, prev_sup: float | None, cfg: SolverConfig, warm: bool = False
-) -> float:
+def _forcing_term(sup: float, prev_sup: float | None, tol: float, warm: bool = False) -> float:
     """Relative gmres tolerance for a Newton step at residual sup.
 
     Eisenstat-Walker choice 2, eta = min(0.1, 0.9 (sup / prev_sup)^2), with
-    0.1 on the first step of a solve, floored at krylov_tol and at
+    0.1 on the first step of a solve, floored at KRYLOV_TOL and at
     0.1 tol / sup so that the last step is not oversolved.  At or below
-    FORCING_SWITCH every step solves to krylov_tol, which keeps the final
+    FORCING_SWITCH every step solves to KRYLOV_TOL, which keeps the final
     iterates at round-off.  A warm solve, one that starts from a coarser
-    level's solution, takes eta = min(0.1, sup) floored at krylov_tol: a
+    level's solution, takes eta = min(0.1, sup) floored at KRYLOV_TOL: a
     step from sup then lands near sup^2 (Dembo, Eisenstat and Steihaug,
     SIAM J. Numer. Anal. 19 (1982)), and its first steps, already below
-    FORCING_SWITCH, are not solved to krylov_tol.
+    FORCING_SWITCH, are not solved to KRYLOV_TOL.
     """
     if warm:
-        return max(min(ETA_MAX, sup), cfg.krylov_tol)
+        return max(min(ETA_MAX, sup), KRYLOV_TOL)
     if sup <= FORCING_SWITCH:
-        return cfg.krylov_tol
+        return KRYLOV_TOL
     eta = ETA_MAX if prev_sup is None else min(ETA_MAX, 0.9 * (sup / prev_sup) ** 2)
-    return max(eta, cfg.krylov_tol, 0.1 * cfg.tol / sup)
+    return max(eta, KRYLOV_TOL, 0.1 * tol / sup)
 
 
 def _solve_inner(
-    kernel: np.ndarray,
-    res: np.ndarray,
-    grid: TorusGrid,
-    cfg: SolverConfig,
-    eta: float,
+    kernel: np.ndarray, res: np.ndarray, grid: TorusGrid, eta: float
 ) -> tuple[np.ndarray, float, int, list[np.ndarray]]:
     """Solve P L du = -res on the mean-zero subspace (P = mean projector).
 
@@ -357,8 +347,9 @@ def _solve_inner(
     the half spectrum of M^-1 y and its Hessian planes.  Returns du (one
     inverse transform of that spectrum), mean(L du) (for the constant
     shift), the gmres iteration count and the n^2 Hessian planes of du;
-    raises LinearSolveStalled unless the residual is at most eta (floored
-    at 1e-14) times the rhs norm.
+    raises LinearSolveStalled unless, within GMRES_CYCLES restart cycles of
+    GMRES_RESTART iterations, the residual is at most eta times the rhs
+    norm.
     """
     npts = grid.num_points
     shape = grid.shape
@@ -383,24 +374,21 @@ def _solve_inner(
         return zero, 0.0, 0, [zero] * grid.n ** 2
 
     pr_norms: list[float] = []  # one relative residual per gmres iteration
-    rtol = max(eta, 1e-14)
-    restart = min(60, cfg.krylov_iters)
-    cycles = max(1, cfg.krylov_iters // 60)
     y, info = spla.gmres(
         spla.LinearOperator((npts, npts), matvec=matvec, dtype=float),
         b,
-        rtol=rtol,
+        rtol=eta,
         atol=0.0,
-        restart=restart,
-        maxiter=cycles,
+        restart=GMRES_RESTART,
+        maxiter=GMRES_CYCLES,
         callback=pr_norms.append,
         callback_type="pr_norm",
     )
     if info != 0:
         raise LinearSolveStalled(
-            f"gmres missed rtol {rtol:.3e} on rhs norm {bnorm:.3e} after at most "
-            f"{restart * cycles} iterations ({cycles} cycles of {restart}, "
-            f"gmres info {info})"
+            f"gmres missed rtol {eta:.3e} on rhs norm {bnorm:.3e} after at most "
+            f"{GMRES_RESTART * GMRES_CYCLES} iterations ({GMRES_CYCLES} cycles of "
+            f"{GMRES_RESTART}, gmres info {info})"
         )
     if last is None or y is not last[0]:
         raise RuntimeError("gmres returned an iterate its last operator call did not see")
@@ -426,7 +414,6 @@ def _newton_step(
     u_vals: np.ndarray,
     c: float,
     prob: DhymProblem,
-    cfg: SolverConfig,
     eta: float,
 ) -> tuple[np.ndarray, float, StateEval, Iterate]:
     """One damped Newton step from the state of (u_vals, c): the new u, c,
@@ -439,7 +426,7 @@ def _newton_step(
     """
     res = state.residual.values
     kernel = linearization_kernel(state.chi, prob)
-    du, l_du_mean, krylov_iters, hess = _solve_inner(kernel, res, prob.grid, cfg, eta)
+    du, l_du_mean, krylov_iters, hess = _solve_inner(kernel, res, prob.grid, eta)
     dc = float(res.mean() + l_du_mean)
     del kernel, res  # the line search needs only (du, dc) and H(du)
 
@@ -544,9 +531,9 @@ def _newton(
                 break
             polish = False
         prev_sup = iterates[-2].residual_sup if len(iterates) > 1 else None
-        eta = _forcing_term(state.residual_sup, prev_sup, cfg, warm)
+        eta = _forcing_term(state.residual_sup, prev_sup, cfg.tol, warm)
         try:
-            u_vals, c, state, it = _newton_step(state, u_vals, c, prob, cfg, eta)
+            u_vals, c, state, it = _newton_step(state, u_vals, c, prob, eta)
         except MaxItersExceeded:
             if state.residual_sup > cfg.tol:
                 raise

@@ -57,18 +57,18 @@ def _fft_workers() -> int:
     N=32); DHYM_THREADS caps it (0 or unset = auto).  Smaller grids
     transform on one thread whatever it says (_workers_for).
 
-    This is the only reader of DHYM_THREADS; a non-integer value raises
-    ConfigError.  The transform result is bit-identical for any worker
-    count; this only controls parallel width.
+    This is the only reader of DHYM_THREADS; a value that is not an
+    integer >= 0 raises ConfigError.  The transform result is bit-identical
+    for any worker count; this only controls parallel width.
     """
     raw = os.environ.get("DHYM_THREADS", "0")
     try:
         width = int(raw)
     except ValueError:
         raise ConfigError(f"DHYM_THREADS={raw!r} is not an integer") from None
-    if width <= 0:
-        return min(4, os.cpu_count() or 1)
-    return width
+    if width < 0:
+        raise ConfigError(f"DHYM_THREADS={raw!r} is negative")
+    return width or min(4, os.cpu_count() or 1)
 
 
 # Grids below this many points (every n=1 grid, n=2 up to N=16) transform on

@@ -1,5 +1,6 @@
 """End-to-end command-line interface behavior."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import math
 import struct
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +372,25 @@ def test_solve_refuses_a_solver_seed(tmp_path, capsys):
     assert main(["solve", _cfg(tmp_path, text)]) == 2
     assert "unknown key 'seed' in section [solver]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_accepted_config_key_is_read():
+    # (section, key) of every get/get_int/get_float/require call in the
+    # package whose section and key are string literals
+    reads = set()
+    for path in Path(dhym.cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "get_int", "get_float", "require")
+                and len(node.args) >= 2
+                and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                        for a in node.args[:2])
+            ):
+                reads.add((node.args[0].value, node.args[1].value))
+    unread = {(s, k) for s, keys in _SECTIONS.items() for k in keys} - reads
+    assert not unread, f"accepted but never read: {sorted(unread)}"
 
 
 def test_check_keys_are_the_suite_table_keys():
@@ -833,10 +854,29 @@ def test_solve_krylov_key_accepts_only_gmres(tmp_path, capsys):
     assert "gmres" in capsys.readouterr().err
 
 
-def test_solve_rejects_krylov_tol_of_one(tmp_path, capsys):
-    loose = MAN1.replace("tol = 1e-11", "tol = 1e-11\nkrylov_tol = 1")
-    assert main(["solve", _cfg(tmp_path, loose)]) == 2
-    assert "krylov_tol below 1" in capsys.readouterr().err
+def test_solve_refuses_the_removed_krylov_keys(tmp_path, capsys):
+    # the gmres floor and budget are solver constants, not settings
+    for key in ("krylov_tol", "krylov_iters"):
+        text = MAN1.replace("tol = 1e-11", f"tol = 1e-11\n{key} = 1")
+        assert main(["solve", _cfg(tmp_path, text, name=f"{key}.cfg")]) == 2
+        assert f"unknown key {key!r} in section [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line,named",
+    [
+        ("tol = 0", "tol=0.0 must be positive"),
+        ("tol = nan", "tol = 'nan' is not finite"),
+        ("max_iters = 0", "max_iters=0 must be at least 1"),
+        ("max_iters = -1", "max_iters=-1 must be at least 1"),
+    ],
+    ids=["tol-0", "tol-nan", "max_iters-0", "max_iters-minus1"],
+)
+def test_solve_names_the_bad_solver_field(tmp_path, capsys, line, named):
+    text = MAN1.replace("tol = 1e-11", line)
+    assert main(["solve", _cfg(tmp_path, text)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_threads_env_accepted(tmp_path, monkeypatch):
@@ -854,3 +894,10 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
         _fft_workers()
     with pytest.raises(ConfigError):
         i_ddbar(ScalarField(g, np.zeros(g.shape)))
+    # a negative width is refused too, not read as automatic
+    monkeypatch.setenv("DHYM_THREADS", "-1")
+    with pytest.raises(ConfigError, match="DHYM_THREADS='-1' is negative"):
+        _fft_workers()
+    assert main(["solve", _cfg(tmp_path, MAN1, out="neg")]) == 2
+    assert main(["region", "--resolution", "8", "--out", str(tmp_path / "neg.csv")]) == 2
+    assert not (tmp_path / "neg").exists() and not (tmp_path / "neg.csv").exists()

@@ -3,10 +3,12 @@ solve, levels that take no step, fallback and where nesting does not apply."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhym.solver as solver
 from dhym.cli import main
-from dhym.errors import MaxItersExceeded, PathStalled, PhaseFloorViolated
+from dhym.errors import MaxItersExceeded, PathStalled, PhaseFloorViolated, SolverError
 from dhym.solver import (
     DhymProblem,
     SolverConfig,
@@ -20,6 +22,7 @@ from dhym.torus import (
     constant_form_field,
     fftn,
     hat_theta,
+    i_ddbar,
     identity_metric,
     ifftn,
     isotropic_form_field,
@@ -235,6 +238,62 @@ def test_continuation_runs_on_the_coarsest_grid():
     assert [(it.N, it.step) for it in rep.iterates[len(path):]] == [(16, 0.0), (32, 0.0)]
     # c carries across levels: the continuation's final constant, to round-off
     assert abs(rep.c - path[-1].c) <= 1e-14 and rep.residual_sup <= CFG.tol
+
+
+def _drawn_problem(n, big_n, omega_kind, seed, amp):
+    """A manufactured problem whose u_star is three random Fourier modes plus
+    an exp bump, so its spectrum is not band-limited, scaled so that the
+    largest entry of i ddbar u_star is amp."""
+    g = TorusGrid(n, big_n)
+    rng = np.random.default_rng(seed)
+    x = [g.axis_coordinate(a) for a in g.axis_names]
+
+    def wave():
+        k = rng.integers(-2, 3, len(x))
+        return np.cos(sum(kj * xj for kj, xj in zip(k, x)) + rng.uniform(0, 2 * np.pi))
+
+    u = sum(rng.uniform(-1, 1) * wave() for _ in range(3))
+    u = u + rng.uniform(0, 1) * np.exp(wave() + wave())
+    u *= amp / np.max(np.abs(i_ddbar(ScalarField(g, u)).planes))
+    if omega_kind == "id":
+        omega = identity_metric(g)
+    elif omega_kind == "exp":
+        omega = isotropic_form_field(g, ScalarField(g, np.exp(0.3 * wave())))
+    else:  # constant and, at n=2, anisotropic
+        omega = constant_form_field(g, np.diag([1.0, 2.0][-n:]))
+    chi0 = constant_form_field(g, 0.5 * np.eye(n))
+    return manufactured_problem(ScalarField(g, u), omega, chi0, eps0=0.05)
+
+
+def _solve_or_raise(solve, prob):
+    try:
+        return solve(prob)
+    except SolverError as exc:
+        return exc
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    grid=st.sampled_from([(1, 16), (1, 32), (2, 8), (2, 16)]),
+    omega_kind=st.sampled_from(["id", "exp", "diag"]),
+    seed=st.integers(0, 2**32 - 1),
+    amp=st.floats(0.01, 0.3),
+)
+def test_nested_agrees_with_direct_on_drawn_problems(grid, omega_kind, seed, amp):
+    prob = _drawn_problem(*grid, omega_kind, seed, amp)
+    direct = _solve_or_raise(_direct, prob)
+    nested = _solve_or_raise(lambda p: newton_solve(p, cfg=CFG), prob)
+    if isinstance(direct, SolverError):
+        # a failed level falls back to the direct solve, so nested either
+        # fails alike or converged on a path the direct one could not take
+        assert type(nested) is type(direct) or (
+            not isinstance(nested, SolverError) and nested.residual_sup <= CFG.tol
+        )
+        return
+    assert not isinstance(nested, SolverError), nested
+    assert direct.residual_sup <= CFG.tol and nested.residual_sup <= CFG.tol
+    assert np.max(np.abs(nested.u.values - direct.u.values)) <= 1e-8
+    assert abs(nested.c - direct.c) <= 1e-8
 
 
 # --- fallback -------------------------------------------------------------------------

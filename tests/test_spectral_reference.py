@@ -212,9 +212,7 @@ def test_solve_inner_operator_and_preconditioner_counts(n, transform_counts, mon
     monkeypatch.setattr(spla, "gmres", keeping_gmres)
     transform_counts.update(forward=0, inverse=0)
     res = state.residual.values
-    du, l_du_mean, iters, planes = solver._solve_inner(
-        kernel, res, g, solver.SolverConfig(), 1e-12
-    )
+    du, l_du_mean, iters, planes = solver._solve_inner(kernel, res, g, solver.KRYLOV_TOL)
     # one restart cycle of 60: k iterations, then the cycle-end residual that
     # also gives mean(L du) and the Hessian planes of du; no dtype probe, and
     # du is one inverse transform of the last product's spectrum
